@@ -2,10 +2,7 @@
 
 from .correlators import (
     CorrelatorQuad,
-    StabQuad,
-    build_quad,
     correlators_from_tensor,
-    expectations,
     pauli_tensor,
     verify_identities,
 )

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import functional, optimize, states
-from .correlators import build_quad, expectations
+from .correlators import correlators_from_tensor, pauli_tensor
 from .linalg import OrthoFrame
 from .states import StateError
 
@@ -121,7 +121,7 @@ def cmd_eval(args):
     frame = OrthoFrame(
         parse_direction("--n1", args.n1), parse_direction("--n2", args.n2)
     )
-    e = expectations(build_quad(frame), state)
+    e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     value = e.e4 - e.e1 * e.e2 * e.e3
     lines = [
         f"n1 = {frame.n1}  n2 = {frame.n2}  (n1.n2 = {fmt9(frame.c)})",
@@ -375,7 +375,7 @@ def main(argv=None):
             return 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

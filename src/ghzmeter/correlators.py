@@ -1,38 +1,21 @@
-"""The four stabiliser-like observables of a frame and their expectations."""
+"""Three-body Pauli correlations of a qubit state, their contraction to e1..e4,
+and the operator identities of a frame."""
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    PAULIS,
-    OrthoFrame,
-    kron,
-    max_norm,
-    spin_observable,
-    triple_observable,
-)
-from .states import QuantumState, StateError
+from .linalg import IDENTITY_2, PAULIS, kron, max_norm, spin_observable
+from .states import StateError
 
 IMAG_ATOL = 1e-10
 
-
-@dataclass(frozen=True)
-class StabQuad:
-    """O1..O4 as 8x8 Hermitian unitaries, together with the frame."""
-
-    o1: np.ndarray
-    o2: np.ndarray
-    o3: np.ndarray
-    o4: np.ndarray
-    frame: OrthoFrame
-
-    @property
-    def operators(self):
-        return (self.o1, self.o2, self.o3, self.o4)
+# Row 9i + 3j + k is (s_i x s_j x s_k)^T flattened, so one product with a
+# flattened density matrix gives all 27 traces Tr((s_i x s_j x s_k) rho).
+PAULI_STRINGS = np.einsum(
+    "iad,jbe,kcf->ijkdefabc", *[np.stack(PAULIS)] * 3
+).reshape(27, 64)
 
 
 class CorrelatorQuad(NamedTuple):
@@ -42,38 +25,19 @@ class CorrelatorQuad(NamedTuple):
     e4: float
 
 
-def build_quad(frame):
-    """The four observables with n1 in one slot and n2 in the others (O4: all n1)."""
-    s1 = spin_observable(frame.n1)
-    s2 = spin_observable(frame.n2)
-    return StabQuad(
-        o1=kron(s1, s2, s2),
-        o2=kron(s2, s1, s2),
-        o3=kron(s2, s2, s1),
-        o4=kron(s1, s1, s1),
-        frame=frame,
-    )
-
-
-def expectations(quad, state):
-    """Expectations (e1..e4) of the quad's observables under a qubit state."""
-    if state.local_dim != 2:
-        raise StateError(f"expected a three-qubit state, got local_dim {state.local_dim}")
-    return CorrelatorQuad(*(state.real_expectation(o, IMAG_ATOL) for o in quad.operators))
-
-
 def pauli_tensor(state):
     """Full 3x3x3 tensor of three-body Pauli correlations <s_i x s_j x s_k>.
 
-    A direct 27-entry tabulation; evaluating correlators for many frames
-    against a fixed state then reduces to cubic contractions of this tensor.
+    Evaluating correlators for many frames against a fixed state then
+    reduces to cubic contractions of this tensor.
     """
     if state.local_dim != 2:
         raise StateError(f"expected a three-qubit state, got local_dim {state.local_dim}")
-    t = np.empty((3, 3, 3))
-    for i, j, k in itertools.product(range(3), repeat=3):
-        t[i, j, k] = state.real_expectation(kron(PAULIS[i], PAULIS[j], PAULIS[k]))
-    return t
+    t = PAULI_STRINGS @ state.density_matrix().reshape(64)
+    residue = np.max(np.abs(t.imag))
+    if not residue < IMAG_ATOL:
+        raise StateError(f"Pauli correlations have imaginary residue {residue!r}")
+    return t.real.reshape(3, 3, 3)
 
 
 def correlators_from_tensor(tensor, n1, n2):

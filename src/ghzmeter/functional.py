@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import build_quad, expectations
+from .correlators import correlators_from_tensor, pauli_tensor
 from .linalg import kron, max_norm, symplectic_form, weyl_operator
 from .states import StateError
 
@@ -16,13 +16,13 @@ def eval_I(state, frame):
     The frame need not be orthogonal; orthogonality is a constraint of the
     entanglement indicator's supremum, not of the functional itself.
     """
-    e = expectations(build_quad(frame), state)
+    e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     return e.e4 - e.e1 * e.e2 * e.e3
 
 
 def mermin_M3(state, frame):
     """Linear Mermin combination e4 - e1 - e2 - e3 at the frame's axes."""
-    e = expectations(build_quad(frame), state)
+    e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     return e.e4 - e.e1 - e.e2 - e.e3
 
 
@@ -83,7 +83,7 @@ def w_reduced_I(a3, b3, atol=1e-12):
     Feasibility requires a3^2 + b3^2 <= 1 (the two orthonormal directions
     cannot both hug the z axis).
     """
-    if a3**2 + b3**2 > 1.0 + atol:
+    if not a3**2 + b3**2 <= 1.0 + atol:
         raise ValueError(
             f"no orthogonal frame has z-projections ({a3!r}, {b3!r}): "
             "a3^2 + b3^2 must be <= 1"

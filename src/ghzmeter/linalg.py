@@ -52,7 +52,7 @@ def unit_vector(n, atol=ATOL):
     if n.shape != (3,):
         raise ValueError(f"direction must be a real 3-vector, got shape {n.shape}")
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) >= atol:
+    if not abs(norm - 1.0) < atol:
         raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
     return n
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .correlators import correlators_from_tensor, pauli_tensor
-from .functional import eval_I, w_reduced_I
+from .functional import w_reduced_I
 from .linalg import OrthoFrame, X_HAT, Y_HAT
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 
@@ -70,6 +70,8 @@ def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     the three unconstrained Euler angles, so every visited frame is exactly
     orthonormal.  Deterministic for a fixed (state, restarts, seed).
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     tensor = pauli_tensor(state)
     rng = np.random.default_rng(seed)
     best_value, best_angles = -1.0, None
@@ -250,8 +252,3 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
         values.append(e_ghz(rotated, restarts=restarts, seed=seed))
     deviation = max(abs(v - reference) for v in values)
     return reference, values, float(deviation)
-
-
-def certified_lower_bound(state, frame):
-    """|I| at a user-supplied frame; a certificate the optimum cannot undercut."""
-    return abs(eval_I(state, frame))

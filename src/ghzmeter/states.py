@@ -43,7 +43,7 @@ class QuantumState:
                     f"expected {dim} amplitudes for local_dim {d}, got {v.shape[0]}"
                 )
             norm = np.linalg.norm(v)
-            if abs(norm - 1.0) >= NORM_ATOL:
+            if not abs(norm - 1.0) < NORM_ATOL:
                 raise StateError(f"pure state not normalized: ||psi|| = {norm!r}")
             v.setflags(write=False)
             object.__setattr__(self, "vector", v)
@@ -53,10 +53,12 @@ class QuantumState:
                 raise StateError(
                     f"expected a {dim}x{dim} density matrix, got shape {rho.shape}"
                 )
-            if max_norm(rho - rho.conj().T) >= NORM_ATOL:
+            if not np.all(np.isfinite(rho)):
+                raise StateError("density matrix has non-finite entries")
+            if not max_norm(rho - rho.conj().T) < NORM_ATOL:
                 raise StateError("density matrix is not Hermitian")
             tr = np.trace(rho).real
-            if abs(tr - 1.0) >= NORM_ATOL:
+            if not abs(tr - 1.0) < NORM_ATOL:
                 raise StateError(f"density matrix trace must be 1, got {tr!r}")
             if np.min(np.linalg.eigvalsh(rho)) < EIGVAL_FLOOR:
                 raise StateError("density matrix has a negative eigenvalue")
@@ -90,7 +92,7 @@ class QuantumState:
     def real_expectation(self, operator, imag_atol=1e-10):
         """Expectation of a Hermitian operator; rejects imaginary residue."""
         value = self.expectation(operator)
-        if abs(value.imag) >= imag_atol:
+        if not abs(value.imag) < imag_atol:
             raise StateError(
                 f"expectation has imaginary residue {value.imag!r}; "
                 "operator is not Hermitian on this state"
@@ -111,10 +113,10 @@ class AcinParams:
 
     def __post_init__(self):
         lams = self.lambdas
-        if np.any(lams < 0):
+        if not np.all(lams >= 0):
             raise StateError(f"lambda coefficients must be nonnegative: {lams}")
         total = float(np.sum(lams**2))
-        if abs(total - 1.0) >= NORM_ATOL:
+        if not abs(total - 1.0) < NORM_ATOL:
             raise StateError(f"sum of lambda_i^2 must be 1, got {total!r}")
         if not 0.0 <= self.phi <= np.pi:
             raise StateError(f"phi must lie in [0, pi], got {self.phi!r}")

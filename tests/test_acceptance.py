@@ -12,11 +12,9 @@ from ghzmeter import (
     OrthoFrame,
     QuditGenPair,
     acin_closed_form,
-    build_quad,
     e_ghz,
     eval_I,
     eval_Id,
-    expectations,
     ghz_basis,
     lhv_oracle,
     lu_invariance_check,

@@ -6,6 +6,8 @@ import pytest
 
 from ghzmeter.cli import main
 
+from conftest import operator_quad, random_direction, random_mixed_state
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -70,6 +72,29 @@ def test_eval_acin_params(capsys):
     )
     assert code == 0
     assert "I  = 2" in out
+
+
+def test_eval_acin_nan_rejected(capsys):
+    code, out, err = run(
+        capsys, ["eval", "--acin", "nan,0,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --acin")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--state", "w", "--restarts", "0", "--seed", "0"],
+        ["qudit", "--d", "1"],
+    ],
+)
+def test_value_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_optimize_w(capsys):
@@ -172,6 +197,30 @@ def test_state_file_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert "-1.2962963" in out
+
+
+def test_eval_matches_operator_oracle(capsys, tmp_path):
+    from ghzmeter import OrthoFrame, haar_random_pure, load_state, save_state
+
+    rng = np.random.default_rng(7)
+    for st in (haar_random_pure(2, rng), random_mixed_state(rng)):
+        path = tmp_path / f"{st.kind}.json"
+        save_state(st, path)
+        st = load_state(path)
+        frame = OrthoFrame(random_direction(rng), random_direction(rng))
+        n1, n2 = (",".join(repr(float(x)) for x in n) for n in (frame.n1, frame.n2))
+        code, out, _ = run(
+            capsys,
+            ["eval", "--state-file", str(path), f"--n1={n1}", f"--n2={n2}",
+             "--format", "json"],
+        )
+        assert code == 0
+        doc = json.loads(out)[0]
+        expected = [st.real_expectation(o) for o in operator_quad(frame)]
+        got = [doc[key] for key in ("e1", "e2", "e3", "e4")]
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
+        e1, e2, e3, e4 = expected
+        assert abs(doc["I"] - (e4 - e1 * e2 * e3)) < 1e-12
 
 
 def test_seed_env_fallback(capsys, monkeypatch, tmp_path):

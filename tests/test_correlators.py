@@ -3,81 +3,98 @@ import pytest
 
 from ghzmeter import (
     OrthoFrame,
-    build_quad,
     correlators_from_tensor,
-    expectations,
+    eval_I,
     kron,
     make_ghz,
     make_w,
     maximally_mixed,
+    mermin_M3,
     pauli_tensor,
+    triple_observable,
     verify_identities,
 )
-from ghzmeter.linalg import SIGMA_X, is_hermitian, max_norm
+from ghzmeter.linalg import SIGMA_X, X_HAT, Y_HAT, Z_HAT, is_hermitian, max_norm
 from ghzmeter.states import StateError, haar_random_pure
 
-from conftest import random_direction, random_orthogonal_frame
+from conftest import (
+    operator_quad,
+    random_direction,
+    random_mixed_state,
+    random_orthogonal_frame,
+)
+
+
+def tensor_correlators(state, frame):
+    return correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
 
 
 def test_quad_xy_o4_is_xxx(frame_xy):
-    quad = build_quad(frame_xy)
-    assert np.allclose(quad.o4, kron(SIGMA_X, SIGMA_X, SIGMA_X))
+    o4 = operator_quad(frame_xy)[3]
+    assert np.allclose(o4, kron(SIGMA_X, SIGMA_X, SIGMA_X))
 
 
 def test_quad_xy_stabiliser_relation(frame_xy):
-    quad = build_quad(frame_xy)
-    prod = quad.o1 @ quad.o2 @ quad.o3 @ quad.o4
-    assert max_norm(prod + np.eye(8)) < 1e-12
+    o1, o2, o3, o4 = operator_quad(frame_xy)
+    assert max_norm(o1 @ o2 @ o3 @ o4 + np.eye(8)) < 1e-12
 
 
 def test_quad_degenerate_frame():
-    quad = build_quad(OrthoFrame([1, 0, 0], [1, 0, 0]))
-    for o in quad.operators[1:]:
-        assert max_norm(o - quad.o1) < 1e-12
+    quad = operator_quad(OrthoFrame([1, 0, 0], [1, 0, 0]))
+    for o in quad[1:]:
+        assert max_norm(o - quad[0]) < 1e-12
 
 
 def test_quad_operators_hermitian_unitary(rng):
-    quad = build_quad(OrthoFrame(random_direction(rng), random_direction(rng)))
-    for o in quad.operators:
+    for o in operator_quad(OrthoFrame(random_direction(rng), random_direction(rng))):
         assert is_hermitian(o)
         assert max_norm(o @ o - np.eye(8)) < 1e-12
 
 
 def test_expectations_ghz(frame_xy):
-    e = expectations(build_quad(frame_xy), make_ghz(2))
+    e = tensor_correlators(make_ghz(2), frame_xy)
     assert np.allclose(e, (-1, -1, -1, 1), atol=1e-12)
 
 
 def test_expectations_w_vanish(frame_xy):
-    assert np.allclose(expectations(build_quad(frame_xy), make_w()), 0, atol=1e-12)
+    assert np.allclose(tensor_correlators(make_w(), frame_xy), 0, atol=1e-12)
 
 
 def test_expectations_maximally_mixed(rng):
-    quad = build_quad(random_orthogonal_frame(rng))
-    assert np.allclose(expectations(quad, maximally_mixed(2)), 0, atol=1e-12)
+    e = tensor_correlators(maximally_mixed(2), random_orthogonal_frame(rng))
+    assert np.allclose(e, 0, atol=1e-12)
 
 
 def test_expectations_rejects_qutrits(frame_xy):
     with pytest.raises(StateError):
-        expectations(build_quad(frame_xy), make_ghz(3))
+        pauli_tensor(make_ghz(3))
+    with pytest.raises(StateError):
+        eval_I(make_ghz(3), frame_xy)
 
 
 def test_expectations_bounded(rng):
     for i in range(200):
-        quad = build_quad(OrthoFrame(random_direction(rng), random_direction(rng)))
+        frame = OrthoFrame(random_direction(rng), random_direction(rng))
         st = haar_random_pure(2, rng)
-        for e in expectations(quad, st):
+        for e in tensor_correlators(st, frame):
             assert abs(e) <= 1 + 1e-12
 
 
 def test_pauli_tensor_matches_expectations(rng):
-    st = haar_random_pure(2, rng)
-    tensor = pauli_tensor(st)
-    for _ in range(20):
-        frame = OrthoFrame(random_direction(rng), random_direction(rng))
-        fast = correlators_from_tensor(tensor, frame.n1, frame.n2)
-        slow = expectations(build_quad(frame), st)
-        assert np.allclose(fast, slow, atol=1e-12)
+    axes = (X_HAT, Y_HAT, Z_HAT)
+    for st in (haar_random_pure(2, rng), random_mixed_state(rng)):
+        tensor = pauli_tensor(st)
+        for i, j, k in np.ndindex(3, 3, 3):
+            slow = st.real_expectation(triple_observable(axes[i], axes[j], axes[k]))
+            assert abs(tensor[i, j, k] - slow) < 1e-12
+        for _ in range(20):
+            frame = OrthoFrame(random_direction(rng), random_direction(rng))
+            slow = [st.real_expectation(o) for o in operator_quad(frame)]
+            fast = tensor_correlators(st, frame)
+            assert np.max(np.abs(np.subtract(fast, slow))) < 1e-12
+            e1, e2, e3, e4 = slow
+            assert abs(eval_I(st, frame) - (e4 - e1 * e2 * e3)) < 1e-12
+            assert abs(mermin_M3(st, frame) - (e4 - e1 - e2 - e3)) < 1e-12
 
 
 def test_identities_random_frames(rng):
@@ -102,16 +119,15 @@ def test_identities_parallel_frame():
 
 
 def test_orthogonal_frames_jointly_diagonalizable(rng):
-    frame = random_orthogonal_frame(rng)
-    quad = build_quad(frame)
-    for a in quad.operators:
-        for b in quad.operators:
+    quad = operator_quad(random_orthogonal_frame(rng))
+    for a in quad:
+        for b in quad:
             assert max_norm(a @ b - b @ a) < 1e-12
     # a generic combination of the commuting operators lifts the +/-1
     # degeneracies; its eigenbasis must diagonalize all four at once
-    generic = quad.o1 + np.sqrt(2) * quad.o2 + np.sqrt(3) * quad.o3
+    generic = quad[0] + np.sqrt(2) * quad[1] + np.sqrt(3) * quad[2]
     _, vecs = np.linalg.eigh(generic)
-    for o in quad.operators:
+    for o in quad:
         transformed = vecs.conj().T @ o @ vecs
         off_diag = transformed - np.diag(np.diag(transformed))
         assert max_norm(off_diag) < 1e-10
@@ -119,7 +135,7 @@ def test_orthogonal_frames_jointly_diagonalizable(rng):
 
 def test_nonorthogonal_frames_cannot_saturate(rng):
     # scan the 8 GHZ-basis states at tilted frames: |I| stays below 2
-    from ghzmeter import eval_I, ghz_basis
+    from ghzmeter import ghz_basis
 
     for _ in range(10):
         n1 = random_direction(rng)

@@ -127,6 +127,8 @@ def test_w_reduced_endpoints():
     assert w_reduced_I(0.0, 0.7) == 0.0
     with pytest.raises(ValueError):
         w_reduced_I(0.9, 0.9)
+    with pytest.raises(ValueError):
+        w_reduced_I(np.nan, 0.0)
 
 
 def test_w_reduced_secondary_branch():

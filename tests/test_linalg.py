@@ -115,6 +115,16 @@ def test_unit_vector_validation():
         unit_vector([0.9, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        unit_vector([bad, 0, 0])
+    with pytest.raises(ValueError):
+        OrthoFrame([bad, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError):
+        OrthoFrame([1, 0, 0], [0, bad, 1])
+
+
 def test_weyl_recovers_paulis():
     assert np.allclose(weyl_operator(2, 1, 0), SIGMA_X)
     assert np.allclose(weyl_operator(2, 0, 1), SIGMA_Z)

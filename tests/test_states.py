@@ -23,6 +23,8 @@ from ghzmeter import (
 from ghzmeter.linalg import SIGMA_X, SIGMA_Z, shift_matrix
 from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 
+from conftest import operator_quad
+
 
 def test_ghz_amplitudes():
     ghz = make_ghz(2)
@@ -86,12 +88,9 @@ def test_ghz_basis_orthonormal():
 
 def test_ghz_basis_stabiliser_eigenvalues(frame_xy):
     # common eigenstates of O1..O4 at (x, y) with eigenvalue product -1
-    from ghzmeter import build_quad
-
-    quad = build_quad(frame_xy)
     for _, st in ghz_basis():
         eps = []
-        for o in quad.operators:
+        for o in operator_quad(frame_xy):
             out = o @ st.vector
             e = st.vector.conj() @ out
             assert np.linalg.norm(out - e * st.vector) < 1e-12
@@ -183,6 +182,31 @@ def test_state_validation_errors():
         QuantumState(2)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_state_rejects_non_finite(bad):
+    v = np.full(8, 1 / np.sqrt(8), dtype=complex)
+    v[3] = bad
+    with pytest.raises(StateError):
+        QuantumState(2, vector=v)
+    for entry in ((2, 2), (0, 5)):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[entry] = rho[entry[::-1]] = bad
+        with pytest.raises(StateError):
+            QuantumState(2, density=rho)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_acin_rejects_non_finite(bad):
+    for args in ((bad, 0, 0, 0, 0), (1, bad, 0, 0, 0), (0, 0, 0, 0, bad)):
+        with pytest.raises(StateError):
+            AcinParams(*args)
+    with pytest.raises(StateError):
+        AcinParams(1, 0, 0, 0, 0, phi=bad)
+
+
 def test_maximally_mixed():
     mm = maximally_mixed(2)
     assert mm.kind == "mixed"
@@ -224,6 +248,24 @@ def test_load_rejects_bad_trace(tmp_path):
     st_path.write_text(json.dumps(doc))
     with pytest.raises(StateError, match="trace"):
         load_state(st_path)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_load_rejects_non_finite(tmp_path, bad):
+    import json
+
+    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+    amps[5] = [bad, 0.0]
+    path = tmp_path / "pure.json"
+    path.write_text(json.dumps({"local_dim": 2, "kind": "pure", "amplitudes": amps}))
+    with pytest.raises(StateError):
+        load_state(path)
+    rows = [[[1 / 8 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+    rows[4][4] = [bad, 0.0]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"local_dim": 2, "kind": "mixed", "density": rows}))
+    with pytest.raises(StateError):
+        load_state(path)
 
 
 def test_load_rejects_malformed_json(tmp_path):
