@@ -18,6 +18,10 @@ PAULI_STRINGS = np.einsum(
 ).reshape(27, 64)
 
 
+# t_ijk a_i b_j c_k over any leading axes of the three directions
+CONTRACT = "ijk,...i,...j,...k->..."
+
+
 class CorrelatorQuad(NamedTuple):
     e1: float
     e2: float
@@ -41,12 +45,16 @@ def pauli_tensor(state):
 
 
 def correlators_from_tensor(tensor, n1, n2):
-    """(e1..e4) by contracting the Pauli tensor with the two directions."""
-    e1 = np.einsum("ijk,i,j,k->", tensor, n1, n2, n2)
-    e2 = np.einsum("ijk,i,j,k->", tensor, n2, n1, n2)
-    e3 = np.einsum("ijk,i,j,k->", tensor, n2, n2, n1)
-    e4 = np.einsum("ijk,i,j,k->", tensor, n1, n1, n1)
-    return CorrelatorQuad(float(e1), float(e2), float(e3), float(e4))
+    """(e1..e4) by contracting the Pauli tensor with the two directions.
+
+    Directions of shape (..., 3) give e1..e4 of shape (...), one entry per
+    pair of rows; two 3-vectors give numpy float scalars.
+    """
+    e1 = np.einsum(CONTRACT, tensor, n1, n2, n2)
+    e2 = np.einsum(CONTRACT, tensor, n2, n1, n2)
+    e3 = np.einsum(CONTRACT, tensor, n2, n2, n1)
+    e4 = np.einsum(CONTRACT, tensor, n1, n1, n1)
+    return CorrelatorQuad(e1, e2, e3, e4)
 
 
 @dataclass(frozen=True)

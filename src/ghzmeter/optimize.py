@@ -7,10 +7,11 @@ from scipy.optimize import minimize
 
 from .correlators import correlators_from_tensor, pauli_tensor
 from .functional import w_reduced_I
-from .linalg import OrthoFrame, X_HAT, Y_HAT
+from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 
 DEFAULT_RESTARTS = 300
+SAMPLES = 4096
 SIMPLEX_EDGE = 0.25
 MAX_ITER = 2000
 XATOL = 1e-10
@@ -18,29 +19,42 @@ FATOL = 1e-13
 CONVERGENCE_ATOL = 1e-8
 
 
-def rotation_zyz(alpha, beta, gamma):
-    """Rotation matrix Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
+def euler_frame(alpha, beta, gamma):
+    """(R x_hat, R y_hat) for R = Rz(alpha) @ Ry(beta) @ Rz(gamma), in closed form.
+
+    Elementwise in the angles: scalars give two 3-vectors, angle vectors of
+    length N give two (N, 3) direction arrays.
+    """
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     cg, sg = np.cos(gamma), np.sin(gamma)
-    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz_a @ ry_b @ rz_g
+    n1 = np.array([ca * cb * cg - sa * sg, sa * cb * cg + ca * sg, -sb * cg])
+    n2 = np.array([-ca * cb * sg - sa * cg, ca * cg - sa * cb * sg, sb * sg])
+    return n1.T, n2.T
+
+
+def sphere_pair(theta1, phi1, theta2, phi2):
+    """Unit directions at spherical angles (theta1, phi1) and (theta2, phi2).
+
+    Elementwise like :func:`euler_frame`.
+    """
+    theta, phi = np.array([theta1, theta2]), np.array([phi1, phi2])
+    st = np.sin(theta)
+    n = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return n[:, 0].T, n[:, 1].T
 
 
 def frame_from_angles(alpha, beta, gamma):
     """Orthonormal frame (R x_hat, R y_hat) from ZYZ Euler angles; exact by construction."""
-    r = rotation_zyz(alpha, beta, gamma)
-    return OrthoFrame(r @ X_HAT, r @ Y_HAT)
+    return OrthoFrame(*euler_frame(alpha, beta, gamma))
 
 
-def random_euler_angles(rng):
-    """ZYZ angles of a rotation drawn uniformly from SO(3)."""
-    alpha = rng.uniform(0.0, 2.0 * np.pi)
-    beta = np.arccos(rng.uniform(-1.0, 1.0))
-    gamma = rng.uniform(0.0, 2.0 * np.pi)
-    return np.array([alpha, beta, gamma])
+def random_euler_angles(rng, n=None):
+    """ZYZ angles of rotations drawn uniformly from SO(3): shape (3,), or (n, 3)."""
+    alpha = rng.uniform(0.0, 2.0 * np.pi, n)
+    beta = np.arccos(rng.uniform(-1.0, 1.0, n))
+    gamma = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.stack([alpha, beta, gamma], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -57,53 +71,58 @@ class OptimizationResult:
         return self.best_value / 2.0
 
 
-def _abs_I_from_tensor(tensor, angles):
-    frame = frame_from_angles(*angles)
-    e = correlators_from_tensor(tensor, frame.n1, frame.n2)
-    return abs(e.e4 - e.e1 * e.e2 * e.e3)
+def _search(tensor, functional, directions, starts, restarts):
+    """Maximize |functional(e1..e4)| over the angle space that `directions` maps.
+
+    All `starts` (one row of angles each) are scored in one batched
+    contraction, then Nelder-Mead runs from the best `restarts` of them.  The
+    order is a stable sort, so more restarts only add searches.  Returns the
+    best value, its angles, the total Nelder-Mead iterations and the number
+    of searches that ended within CONVERGENCE_ATOL of the best.
+    """
+    if not 1 <= restarts <= len(starts):
+        raise ValueError(f"restarts must be in [1, {len(starts)}], got {restarts!r}")
+
+    def value(x):
+        return np.abs(functional(correlators_from_tensor(tensor, *directions(*x.T))))
+
+    order = np.argsort(-value(starts), kind="stable")[:restarts]
+    simplex = SIMPLEX_EDGE * np.vstack([np.zeros(starts.shape[1]), np.eye(starts.shape[1])])
+    options = {"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL}
+    runs = [
+        minimize(
+            lambda x: -value(x),
+            x0,
+            method="Nelder-Mead",
+            options={"initial_simplex": x0 + simplex, **options},
+        )
+        for x0 in starts[order]
+    ]
+    values = np.array([-run.fun for run in runs])
+    best = int(np.argmax(values))
+    converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
+    return float(values[best]), runs[best].x, sum(run.nit for run in runs), converged
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     """Multistart Nelder-Mead maximization of |I| over orthonormal frames.
 
-    Each restart starts from a Haar-random rotation; the search runs over
-    the three unconstrained Euler angles, so every visited frame is exactly
+    SAMPLES Haar-random rotations are scored at once and the search runs
+    from the best `restarts` of them (1 <= restarts <= SAMPLES), over the
+    three unconstrained Euler angles, so every visited frame is exactly
     orthonormal.  Deterministic for a fixed (state, restarts, seed).
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     tensor = pauli_tensor(state)
-    rng = np.random.default_rng(seed)
-    best_value, best_angles = -1.0, None
-    iterations = 0
-    restart_values = []
-    for _ in range(restarts):
-        x0 = random_euler_angles(rng)
-        result = minimize(
-            lambda x: -_abs_I_from_tensor(tensor, x),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": x0 + SIMPLEX_EDGE * np.vstack(
-                    [np.zeros(3), np.eye(3)]
-                ),
-                "maxiter": MAX_ITER,
-                "xatol": XATOL,
-                "fatol": FATOL,
-            },
-        )
-        iterations += result.nit
-        value = -result.fun
-        restart_values.append(value)
-        if value > best_value:
-            best_value, best_angles = value, result.x
-    converged = sum(1 for v in restart_values if best_value - v < CONVERGENCE_ATOL)
+    starts = random_euler_angles(np.random.default_rng(seed), SAMPLES)
+    value, angles, iterations, converged = _search(
+        tensor, lambda e: e.e4 - e.e1 * e.e2 * e.e3, euler_frame, starts, restarts
+    )
     return OptimizationResult(
-        best_value=float(best_value),
-        best_frame=frame_from_angles(*best_angles),
+        best_value=value,
+        best_frame=frame_from_angles(*angles),
         restarts=restarts,
         seed=seed,
-        iterations_total=int(iterations),
+        iterations_total=iterations,
         converged_restarts=converged,
     )
 
@@ -118,37 +137,15 @@ def maximize_mermin(state, restarts=100, seed=0):
 
     Unlike :func:`maximize_I` the two directions are independent (not
     constrained to be orthogonal); each is parametrized by spherical angles.
+    M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
     """
-    tensor = pauli_tensor(state)
     rng = np.random.default_rng(seed)
-
-    def sph(theta, phi):
-        st = np.sin(theta)
-        return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-
-    def objective(x):
-        n1, n2 = sph(x[0], x[1]), sph(x[2], x[3])
-        e = correlators_from_tensor(tensor, n1, n2)
-        return -(e.e4 - e.e1 - e.e2 - e.e3)
-
-    best = -np.inf
-    for _ in range(restarts):
-        x0 = np.array(
-            [
-                np.arccos(rng.uniform(-1.0, 1.0)),
-                rng.uniform(0.0, 2.0 * np.pi),
-                np.arccos(rng.uniform(-1.0, 1.0)),
-                rng.uniform(0.0, 2.0 * np.pi),
-            ]
-        )
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL},
-        )
-        best = max(best, -result.fun)
-    return float(best)
+    theta1, theta2 = np.arccos(rng.uniform(-1.0, 1.0, (2, SAMPLES)))
+    phi1, phi2 = rng.uniform(0.0, 2.0 * np.pi, (2, SAMPLES))
+    starts = np.stack([theta1, phi1, theta2, phi2], axis=-1)
+    return _search(
+        pauli_tensor(state), lambda e: e.e4 - e.e1 - e.e2 - e.e3, sphere_pair, starts, restarts
+    )[0]
 
 
 def w_analytic_max():

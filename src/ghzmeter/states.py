@@ -267,27 +267,35 @@ def save_state(state, path):
 
 
 def load_state(path):
-    """Read a state file written by :func:`save_state`, re-validating invariants."""
+    """Read a state file written by :func:`save_state`, re-validating invariants.
+
+    Every malformed document raises :class:`StateError`.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, deep nesting
             raise StateError(f"cannot parse state file {path}: {exc}") from exc
     try:
-        d = int(doc["local_dim"])
+        d = doc["local_dim"]
         kind = doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise StateError(f"state file {path} is missing local_dim/kind") from exc
+    if not (isinstance(d, int) or isinstance(d, float) and d.is_integer()):
+        raise StateError(f"local_dim must be an integer, got {d!r}")
+    if kind not in ("pure", "mixed"):
+        raise StateError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
+    key = "amplitudes" if kind == "pure" else "density"
+    pairs = doc.get(key)
+    if pairs is None:
+        raise StateError(f"{kind} state file must carry a {key!r} array")
+    try:
+        if kind == "pure":
+            data = np.array([complex(re, im) for re, im in pairs])
+        else:
+            data = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateError(f"{key} must hold [re, im] number pairs: {exc}") from exc
     if kind == "pure":
-        amps = doc.get("amplitudes")
-        if amps is None:
-            raise StateError("pure state file must carry an 'amplitudes' array")
-        v = np.array([complex(re, im) for re, im in amps])
-        return QuantumState(d, vector=v)
-    if kind == "mixed":
-        rows = doc.get("density")
-        if rows is None:
-            raise StateError("mixed state file must carry a 'density' array")
-        rho = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return QuantumState(d, density=rho)
-    raise StateError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
+        return QuantumState(int(d), vector=data)
+    return QuantumState(int(d), density=data)

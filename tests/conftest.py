@@ -4,6 +4,24 @@ import pytest
 from ghzmeter import OrthoFrame, QuantumState, triple_observable
 
 
+# Malformed state files as raw bytes; load_state must reject each with StateError
+_UNIT_PURE = b'"kind": "pure", "amplitudes": [[1, 0]' + b", [0, 0]" * 7 + b"]"
+MALFORMED_STATE_FILES = {
+    "amplitudes-number": b'{"local_dim": 2, "kind": "pure", "amplitudes": 5}',
+    "amplitudes-string-pair": b'{"local_dim": 2, "kind": "pure", "amplitudes": [["a", 0]]}',
+    "amplitudes-triple": b'{"local_dim": 2, "kind": "pure", "amplitudes": [[1, 0, 0]]}',
+    "amplitudes-huge-int": b'{"local_dim": 2, "kind": "pure", "amplitudes": [[1' + b"0" * 400 + b", 0]]}",
+    "density-flat": b'{"local_dim": 2, "kind": "mixed", "density": [1, 2]}',
+    "density-ragged": b'{"local_dim": 2, "kind": "mixed", "density": [[[1, 0]], [[1, 0], [0, 0]]]}',
+    "local-dim-fraction": b'{"local_dim": 2.7, ' + _UNIT_PURE + b"}",
+    "local-dim-string": b'{"local_dim": "2", ' + _UNIT_PURE + b"}",
+    "kind-list": b'{"local_dim": 2, "kind": ["pure"]}',
+    "top-level-list": b"[2, 3]",
+    "not-utf8": b'{"local_dim": 2, "kind": "\xff"}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 def random_direction(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)

@@ -6,7 +6,7 @@ import pytest
 
 from ghzmeter.cli import main
 
-from conftest import operator_quad, random_direction, random_mixed_state
+from conftest import MALFORMED_STATE_FILES, operator_quad, random_direction, random_mixed_state
 
 
 def run(capsys, argv):
@@ -88,6 +88,7 @@ def test_eval_acin_nan_rejected(capsys):
     [
         ["optimize", "--state", "w", "--restarts", "0", "--seed", "0"],
         ["qudit", "--d", "1"],
+        ["optimize", "--state", "w", "--restarts", "5000", "--seed", "0"],
     ],
 )
 def test_value_errors_exit_2(capsys, argv):
@@ -95,6 +96,20 @@ def test_value_errors_exit_2(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", MALFORMED_STATE_FILES.values(), ids=MALFORMED_STATE_FILES)
+def test_malformed_state_file_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    for argv in (
+        ["eval", "--state-file", str(path), "--n1", "1,0,0", "--n2", "0,1,0"],
+        ["qudit", "--d", "2", "--state", str(path)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: --state") and err.count("\n") == 1
 
 
 def test_optimize_w(capsys):

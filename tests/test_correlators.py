@@ -97,6 +97,17 @@ def test_pauli_tensor_matches_expectations(rng):
             assert abs(mermin_M3(st, frame) - (e4 - e1 - e2 - e3)) < 1e-12
 
 
+def test_correlators_batch_matches_rows(rng):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    n1 = np.array([random_direction(rng) for _ in range(50)])
+    n2 = np.array([random_direction(rng) for _ in range(50)])
+    batch = correlators_from_tensor(tensor, n1, n2)
+    assert all(e.shape == (50,) for e in batch)
+    for row in range(50):
+        single = correlators_from_tensor(tensor, n1[row], n2[row])
+        assert np.max(np.abs(np.array(batch)[:, row] - np.array(single))) < 1e-15
+
+
 def test_identities_random_frames(rng):
     for _ in range(100):
         report = verify_identities(

@@ -17,7 +17,12 @@ from ghzmeter import (
     maximize_I,
     w_analytic_max,
 )
-from ghzmeter.optimize import random_euler_angles, rotation_zyz
+from ghzmeter.optimize import (
+    SAMPLES,
+    euler_frame,
+    maximize_mermin,
+    random_euler_angles,
+)
 
 from conftest import random_orthogonal_frame
 
@@ -31,10 +36,28 @@ def test_frame_from_angles_orthonormal(rng):
         assert abs(frame.c) < 1e-12
 
 
-def test_rotation_zyz_is_rotation(rng):
-    r = rotation_zyz(*rng.uniform(0, 2 * np.pi, 3))
-    assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-    assert abs(np.linalg.det(r) - 1) < 1e-12
+def test_euler_frame_is_rotation(rng):
+    for alpha, beta, gamma in rng.uniform(0, 2 * np.pi, (20, 3)):
+        ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
+        cg, sg = np.cos(gamma), np.sin(gamma)
+        rz_a = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+        ry_b = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
+        rz_g = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
+        r = rz_a @ ry_b @ rz_g
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
+        assert abs(np.linalg.det(r) - 1) < 1e-12
+        n1, n2 = euler_frame(alpha, beta, gamma)
+        assert np.max(np.abs(n1 - r[:, 0])) < 1e-15
+        assert np.max(np.abs(n2 - r[:, 1])) < 1e-15
+
+
+def test_euler_frame_batch_matches_scalar(rng):
+    angles = random_euler_angles(rng, 200)
+    n1, n2 = euler_frame(*angles.T)
+    assert n1.shape == n2.shape == (200, 3)
+    for i, (alpha, beta, gamma) in enumerate(angles):
+        s1, s2 = euler_frame(alpha, beta, gamma)
+        assert np.array_equal(n1[i], s1) and np.array_equal(n2[i], s2)
 
 
 def test_random_euler_angles_in_range(rng):
@@ -54,7 +77,15 @@ def test_maximize_rejects_no_restarts():
         maximize_I(make_w(), restarts=0)
 
 
-# A|BC biseparable state whose 30-restart search misses the global basin
+@pytest.mark.parametrize("restarts", [0, SAMPLES + 1])
+def test_restarts_outside_samples_rejected(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        maximize_I(make_w(), restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        maximize_mermin(make_w(), restarts=restarts)
+
+
+# A|BC biseparable state whose global basin 30 unscored Haar-random starts miss
 BASIN_MISS_AMPLITUDES = [
     complex(0.12474681190397283, 0.314338386433787),
     complex(-0.09711920104466251, -0.07406480778975968),
@@ -69,9 +100,6 @@ BASIN_MISS_AMPLITUDES = [
 BASIN_MISS_SUP = 0.3660333406050326
 
 
-@pytest.mark.xfail(
-    strict=True, reason="30 Nelder-Mead restarts stop 4.1e-6 short of the supremum"
-)
 def test_thirty_restarts_reach_known_supremum():
     state = QuantumState(2, vector=np.array(BASIN_MISS_AMPLITUDES))
     result = maximize_I(state, restarts=30, seed=1562509265)

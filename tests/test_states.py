@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ghzmeter import (
@@ -23,7 +27,7 @@ from ghzmeter import (
 from ghzmeter.linalg import SIGMA_X, SIGMA_Z, shift_matrix
 from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 
-from conftest import operator_quad
+from conftest import MALFORMED_STATE_FILES, operator_quad
 
 
 def test_ghz_amplitudes():
@@ -273,3 +277,42 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("not json {")
     with pytest.raises(StateError, match="parse"):
         load_state(path)
+
+
+@pytest.mark.parametrize("payload", MALFORMED_STATE_FILES.values(), ids=MALFORMED_STATE_FILES)
+def test_load_rejects_malformed_document(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    with pytest.raises(StateError):
+        load_state(path)
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=9) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=40,
+)
+_PAIRS = st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=9)
+# state-shaped documents, so the parse and validation past the header get exercised too
+_STATE_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "local_dim": st.sampled_from([2, 2.0, 3]) | _JSON,
+        "kind": st.sampled_from(["pure", "mixed"]) | _JSON,
+        "amplitudes": _PAIRS | _JSON,
+        "density": st.lists(_PAIRS, max_size=9) | _JSON,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON | _STATE_DOCS)
+def test_load_returns_state_or_raises_state_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "state.json"
+    path.write_text(json.dumps(doc))  # nan and inf are written as NaN and Infinity
+    try:
+        state = load_state(path)
+    except StateError:
+        return
+    assert isinstance(state, QuantumState)
