@@ -375,7 +375,7 @@ def main(argv=None):
             return 2
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Maximization of |I| over orthonormal frames and related numerical probes."""
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlators import correlators_from_tensor, pauli_tensor
 from .functional import w_reduced_I
@@ -12,10 +12,10 @@ from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 
 DEFAULT_RESTARTS = 300
 SAMPLES = 4096
-SIMPLEX_EDGE = 0.25
-MAX_ITER = 2000
-XATOL = 1e-10
-FATOL = 1e-13
+MAX_ITER = 200
+STENCIL_STEP = 1e-4
+INITIAL_DAMPING = 1e-3
+GAIN_ATOL = 1e-15
 CONVERGENCE_ATOL = 1e-8
 
 
@@ -33,15 +33,30 @@ def euler_frame(alpha, beta, gamma):
     return n1.T, n2.T
 
 
-def sphere_pair(theta1, phi1, theta2, phi2):
-    """Unit directions at spherical angles (theta1, phi1) and (theta2, phi2).
+def euler_rotations(angles):
+    """Rotations Rz(alpha) @ Ry(beta) @ Rz(gamma) of angle rows (..., 3), as (..., 3, 3).
 
-    Elementwise like :func:`euler_frame`.
+    The third column, n1 x n2, is the direction at polar angle beta and
+    azimuth alpha.
     """
-    theta, phi = np.array([theta1, theta2]), np.array([phi1, phi2])
-    st = np.sin(theta)
-    n = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-    return n[:, 0].T, n[:, 1].T
+    n1, n2 = euler_frame(*angles.reshape(-1, 3).T)
+    return np.stack([n1, n2, np.cross(n1, n2)], axis=-1).reshape(angles.shape + (3,))
+
+
+def rotation_from_vector(omega):
+    """exp([omega]_x), the rotation by |omega| about omega, by Rodrigues' formula.
+
+    omega of shape (..., 3) gives rotations of shape (..., 3, 3); omega = 0
+    gives the identity exactly.
+    """
+    omega = np.asarray(omega, dtype=float)
+    x, y, z = np.moveaxis(omega, -1, 0)
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(omega.shape + (3,))
+    theta = np.linalg.norm(omega, axis=-1)[..., None, None]
+    # sin(t) / t and (1 - cos t) / t**2 = (sin(t/2) / t)**2 / 2, both finite at t = 0
+    a, b = np.sinc(theta / np.pi), 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 def frame_from_angles(alpha, beta, gamma):
@@ -71,55 +86,110 @@ class OptimizationResult:
         return self.best_value / 2.0
 
 
-def _search(tensor, functional, directions, starts, restarts):
-    """Maximize |functional(e1..e4)| over the angle space that `directions` maps.
+def _stencil(dim):
+    """Central-difference stencil in `dim` chart coordinates, STENCIL_STEP apart.
 
-    All `starts` (one row of angles each) are scored in one batched
-    contraction, then Nelder-Mead runs from the best `restarts` of them.  The
-    order is a stable sort, so more restarts only add searches.  Returns the
-    best value, its angles, the total Nelder-Mead iterations and the number
-    of searches that ended within CONVERGENCE_ATOL of the best.
+    Returns the offsets (m, dim) and the weights (m, dim) and (m, dim, dim)
+    that turn the m values at those offsets into gradient and Hessian.
+    """
+    eye = np.eye(dim)
+    rows = [(np.zeros(dim), np.zeros(dim), -2.0 * eye)]
+    for i, s in product(range(dim), (1.0, -1.0)):
+        rows.append((s * eye[i], 0.5 * s * eye[i], np.outer(eye[i], eye[i])))
+    for (i, j), (a, b) in product(combinations(range(dim), 2), product((1.0, -1.0), repeat=2)):
+        pair = np.outer(eye[i], eye[j])
+        rows.append((a * eye[i] + b * eye[j], np.zeros(dim), 0.25 * a * b * (pair + pair.T)))
+    offsets, grad, hess = map(np.array, zip(*rows))
+    return STENCIL_STEP * offsets, grad / STENCIL_STEP, hess / STENCIL_STEP**2
+
+
+def _polish(tensor, functional, directions, rotations):
+    """Levenberg-Marquardt ascent of |functional| from every row of `rotations` at once.
+
+    Each row is a stack of p rotations, shape (p, 3, 3), moved in the
+    rotation-vector chart exp([w]_x) @ R around itself, re-centred after
+    every accepted step.  The gradient and Hessian in the 3p chart
+    coordinates come from one batched central-difference stencil.  A step
+    solves (-H + (max(0, -lambda_min(-H)) + damp) I) s = g; damp shrinks by
+    3 after a gain and grows by 4 after a loss, and a row retires once the
+    gain its quadratic model predicts is below GAIN_ATOL.  Returns the final
+    rotations, their values and the summed iterations of all rows.
+    """
+    rotations = rotations.copy()
+    k, p = rotations.shape[:2]
+    offsets, grad_weights, hess_weights = _stencil(3 * p)
+    moves = rotation_from_vector(offsets.reshape(-1, p, 3))
+
+    def derivatives(r):
+        e = functional(correlators_from_tensor(tensor, *directions(moves @ r[:, None])))
+        # the centre's sign keeps the stencil off the kink of |.| at 0
+        v = np.sign(e[:, :1]) * e
+        return v[:, 0], v @ grad_weights, np.tensordot(v, hess_weights, 1)
+
+    values, grad, hess = derivatives(rotations)
+    damp = np.full(k, INITIAL_DAMPING)
+    active, iterations = np.arange(k), 0
+    for _ in range(MAX_ITER):
+        g, h = grad[active], hess[active]
+        shift = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0) + damp[active]
+        step = np.linalg.solve(shift[:, None, None] * np.eye(3 * p) - h, g[..., None])[..., 0]
+        model = np.einsum("ki,ki->k", g, step) + 0.5 * np.einsum("ki,kij,kj->k", step, h, step)
+        keep = model > GAIN_ATOL
+        active, step = active[keep], step[keep]
+        if not active.size:
+            break
+        trial = rotation_from_vector(step.reshape(-1, p, 3)) @ rotations[active]
+        t_values, t_grad, t_hess = derivatives(trial)
+        gain = t_values > values[active]
+        moved = active[gain]
+        rotations[moved], values[moved] = trial[gain], t_values[gain]
+        grad[moved], hess[moved] = t_grad[gain], t_hess[gain]
+        damp[active] *= np.where(gain, 1.0 / 3.0, 4.0)
+        iterations += active.size
+    return rotations, values, iterations
+
+
+def _search(tensor, functional, directions, starts, restarts):
+    """Maximize |functional(e1..e4)| over stacks of rotations.
+
+    `starts` has shape (n, p, 3, 3) and `directions` maps rotation stacks
+    (..., p, 3, 3) to the two direction arrays (..., 3).  All starts are
+    scored in one batched contraction, then the best `restarts` of them are
+    polished together by :func:`_polish`.  The order is a stable sort, so
+    more restarts only add rows.  Returns the best value, its rotation
+    stack, the summed polish iterations and the number of rows that ended
+    within CONVERGENCE_ATOL of the best.
     """
     if not 1 <= restarts <= len(starts):
         raise ValueError(f"restarts must be in [1, {len(starts)}], got {restarts!r}")
-
-    def value(x):
-        return np.abs(functional(correlators_from_tensor(tensor, *directions(*x.T))))
-
-    order = np.argsort(-value(starts), kind="stable")[:restarts]
-    simplex = SIMPLEX_EDGE * np.vstack([np.zeros(starts.shape[1]), np.eye(starts.shape[1])])
-    options = {"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL}
-    runs = [
-        minimize(
-            lambda x: -value(x),
-            x0,
-            method="Nelder-Mead",
-            options={"initial_simplex": x0 + simplex, **options},
-        )
-        for x0 in starts[order]
-    ]
-    values = np.array([-run.fun for run in runs])
+    scores = np.abs(functional(correlators_from_tensor(tensor, *directions(starts))))
+    order = np.argsort(-scores, kind="stable")[:restarts]
+    rotations, values, iterations = _polish(tensor, functional, directions, starts[order])
     best = int(np.argmax(values))
     converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
-    return float(values[best]), runs[best].x, sum(run.nit for run in runs), converged
+    return float(values[best]), rotations[best], iterations, converged
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
-    """Multistart Nelder-Mead maximization of |I| over orthonormal frames.
+    """Multistart maximization of |I| over orthonormal frames.
 
-    SAMPLES Haar-random rotations are scored at once and the search runs
-    from the best `restarts` of them (1 <= restarts <= SAMPLES), over the
-    three unconstrained Euler angles, so every visited frame is exactly
+    SAMPLES Haar-random rotations R are scored at once, with (n1, n2) the
+    first two columns of R, and the best `restarts` of them (1 <= restarts
+    <= SAMPLES) are polished together on SO(3), so every visited frame is
     orthonormal.  Deterministic for a fixed (state, restarts, seed).
     """
     tensor = pauli_tensor(state)
-    starts = random_euler_angles(np.random.default_rng(seed), SAMPLES)
-    value, angles, iterations, converged = _search(
-        tensor, lambda e: e.e4 - e.e1 * e.e2 * e.e3, euler_frame, starts, restarts
+    starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), SAMPLES))
+    value, rotation, iterations, converged = _search(
+        tensor,
+        lambda e: e.e4 - e.e1 * e.e2 * e.e3,
+        lambda r: (r[..., 0, :, 0], r[..., 0, :, 1]),
+        starts[:, None],
+        restarts,
     )
     return OptimizationResult(
         best_value=value,
-        best_frame=frame_from_angles(*angles),
+        best_frame=OrthoFrame(rotation[0, :, 0], rotation[0, :, 1]),
         restarts=restarts,
         seed=seed,
         iterations_total=iterations,
@@ -136,15 +206,20 @@ def maximize_mermin(state, restarts=100, seed=0):
     """Maximum of the linear Mermin combination over two shared unit directions.
 
     Unlike :func:`maximize_I` the two directions are independent (not
-    constrained to be orthogonal); each is parametrized by spherical angles.
-    M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
+    constrained to be orthogonal): each is the third column of its own
+    rotation, drawn uniformly on the sphere.  M3 is odd under
+    (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
     """
     rng = np.random.default_rng(seed)
-    theta1, theta2 = np.arccos(rng.uniform(-1.0, 1.0, (2, SAMPLES)))
-    phi1, phi2 = rng.uniform(0.0, 2.0 * np.pi, (2, SAMPLES))
-    starts = np.stack([theta1, phi1, theta2, phi2], axis=-1)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, (2, SAMPLES)))
+    phi = rng.uniform(0.0, 2.0 * np.pi, (2, SAMPLES))
+    starts = euler_rotations(np.stack([phi, theta, np.zeros_like(phi)], axis=-1))
     return _search(
-        pauli_tensor(state), lambda e: e.e4 - e.e1 - e.e2 - e.e3, sphere_pair, starts, restarts
+        pauli_tensor(state),
+        lambda e: e.e4 - e.e1 - e.e2 - e.e3,
+        lambda r: (r[..., 0, :, 2], r[..., 1, :, 2]),
+        starts.swapaxes(0, 1),
+        restarts,
     )[0]
 
 

@@ -9,6 +9,8 @@ from .linalg import kron, max_norm
 
 NORM_ATOL = 1e-12
 EIGVAL_FLOOR = -1e-10
+# a state holds local_dim**3 amplitudes, and no array is longer than 2**63 - 1
+MAX_LOCAL_DIM = 2**21 - 1
 
 BISEPARABLE_CUTS = ("A|BC", "B|AC", "C|AB")
 
@@ -33,6 +35,8 @@ class QuantumState:
         d = self.local_dim
         if d < 2:
             raise StateError(f"local dimension must be >= 2, got {d}")
+        if not d <= MAX_LOCAL_DIM:  # nan too; a huge d is not formatted into the message
+            raise StateError(f"local dimension must be at most {MAX_LOCAL_DIM}")
         dim = d**3
         if (self.vector is None) == (self.density is None):
             raise StateError("exactly one of vector / density must be given")

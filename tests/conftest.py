@@ -15,6 +15,7 @@ MALFORMED_STATE_FILES = {
     "density-ragged": b'{"local_dim": 2, "kind": "mixed", "density": [[[1, 0]], [[1, 0], [0, 0]]]}',
     "local-dim-fraction": b'{"local_dim": 2.7, ' + _UNIT_PURE + b"}",
     "local-dim-string": b'{"local_dim": "2", ' + _UNIT_PURE + b"}",
+    "local-dim-huge": b'{"local_dim": 1' + b"0" * 2000 + b", " + _UNIT_PURE + b"}",
     "kind-list": b'{"local_dim": 2, "kind": ["pure"]}',
     "top-level-list": b"[2, 3]",
     "not-utf8": b'{"local_dim": 2, "kind": "\xff"}',

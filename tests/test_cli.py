@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ghzmeter
 from ghzmeter.cli import main
 
 from conftest import MALFORMED_STATE_FILES, operator_quad, random_direction, random_mixed_state
@@ -94,6 +98,14 @@ def test_eval_acin_nan_rejected(capsys):
 def test_value_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    argv = ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0"]
+    code, out, err = run(capsys, argv + ["--output", str(tmp_path / "missing" / "out.txt")])
+    assert code == 2 and out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -253,3 +265,16 @@ def test_bad_env_seed(capsys, monkeypatch):
     code, _, err = run(capsys, ["optimize", "--state", "ghz", "--restarts", "1"])
     assert code == 2
     assert "GHZMETER_SEED" in err
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
+    code = "import sys, ghzmeter, ghzmeter.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -22,6 +22,7 @@ from ghzmeter.optimize import (
     euler_frame,
     maximize_mermin,
     random_euler_angles,
+    rotation_from_vector,
 )
 
 from conftest import random_orthogonal_frame
@@ -58,6 +59,17 @@ def test_euler_frame_batch_matches_scalar(rng):
     for i, (alpha, beta, gamma) in enumerate(angles):
         s1, s2 = euler_frame(alpha, beta, gamma)
         assert np.array_equal(n1[i], s1) and np.array_equal(n2[i], s2)
+
+
+def test_rotation_from_vector_is_rotation(rng):
+    axes = rng.standard_normal((200, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # angles up to 1 rad: the search moves the chart by far smaller steps
+    r = rotation_from_vector(rng.uniform(-1, 1, (200, 1)) * axes)
+    assert np.max(np.abs(r @ r.swapaxes(1, 2) - np.eye(3))) < 1e-15
+    assert np.max(np.abs(np.linalg.det(r) - 1)) < 1e-15
+    assert np.max(np.abs(np.einsum("nij,nj->ni", r, axes) - axes)) < 1e-15
+    assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
 
 
 def test_random_euler_angles_in_range(rng):
@@ -110,6 +122,15 @@ def test_maximize_w():
     result = maximize_I(make_w(), restarts=60, seed=0)
     assert abs(result.best_value - 35 / 27) < 1e-6
     assert abs(result.e_ghz - 35 / 54) < 1e-6
+
+
+@pytest.mark.parametrize("restarts", [300, SAMPLES])
+def test_w_supremum_to_rounding(restarts):
+    assert abs(maximize_I(make_w(), restarts, 0).best_value - 35 / 27) < 1e-12
+
+
+def test_mermin_w_maximum():
+    assert abs(maximize_mermin(make_w(), 60, 0) - 3.0459560059918087) < 1e-9
 
 
 def test_maximize_biseparable_and_product():

@@ -1,0 +1,144 @@
+"""Property tests of the input boundary: constructors and the CLI on fuzzed input."""
+
+import contextlib
+import io
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghzmeter import AcinParams, OrthoFrame, QuantumState, StateError
+from ghzmeter.cli import NAMED_STATES, main
+
+# every float, nan and +-inf included
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n1=st.lists(FLOATS, min_size=3, max_size=3), n2=st.lists(FLOATS, min_size=3, max_size=3))
+def test_ortho_frame_is_valid_or_raises(n1, n2):
+    try:
+        frame = OrthoFrame(n1, n2)
+    except ValueError:
+        return
+    for n in (frame.n1, frame.n2):
+        assert np.all(np.isfinite(n)) and abs(np.linalg.norm(n) - 1) < 1e-12
+    assert np.isfinite(frame.c) and np.all(np.isfinite(frame.m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    local_dim=st.sampled_from([2, 2.0]) | FLOATS | st.integers(),
+    entries=st.lists(FLOATS, min_size=16, max_size=16),
+    mixed=st.booleans(),
+)
+def test_quantum_state_is_valid_or_raises(local_dim, entries, mixed):
+    amplitudes = np.array(entries[:8]) + 1j * np.array(entries[8:])
+    if mixed:
+        # Hermitian by construction whenever finite, so trace and spectrum get exercised
+        data = {"density": np.outer(amplitudes, amplitudes.conj())}
+    else:
+        data = {"vector": amplitudes}
+    try:
+        state = QuantumState(local_dim, **data)
+    except StateError:
+        return
+    rho = state.density_matrix()
+    assert np.all(np.isfinite(rho)) and abs(np.trace(rho).real - 1) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(lambdas=st.lists(FLOATS | st.sampled_from([0.0, 0.6, 0.8]), min_size=5, max_size=5), phi=FLOATS)
+def test_acin_params_is_valid_or_raises(lambdas, phi):
+    try:
+        params = AcinParams(*lambdas, phi=phi)
+    except StateError:
+        return
+    assert np.all(np.isfinite(params.lambdas)) and abs(np.sum(params.lambdas**2) - 1) < 1e-9
+    assert 0 <= params.phi <= np.pi
+
+
+# Free tokens carry no digit, so no free token is a count that would make a
+# subcommand allocate or loop without bound, and no path separator, so an
+# --output path stays inside the working directory of the test.
+TOKENS = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\\x00"),
+    max_size=8,
+)
+
+
+def _option(flag, values):
+    return st.tuples(st.just(flag), values | TOKENS)
+
+
+def _numbers(*counts):
+    return st.one_of(
+        st.lists(FLOATS | st.integers(-2, 2), min_size=n, max_size=n).map(
+            lambda xs: ",".join(map(str, xs))
+        )
+        for n in counts
+    )
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+COMMON = [
+    _option("--format", st.sampled_from(["table", "csv", "json"])),
+    # relative to the working directory: a file, a directory, a missing directory
+    _option("--output", st.sampled_from(["out.txt", ".", "missing/out.txt"])),
+    _option("--seed", _ints(-1, 2**70)),
+]
+STATES = [
+    _option("--state", st.sampled_from(NAMED_STATES)),
+    _option("--acin", _numbers(5, 6)),
+    _option("--state-file", st.sampled_from(["out.txt", "missing.json"])),
+]
+RESTARTS = _option("--restarts", _ints(-1, 5))
+SAMPLES = _option("--samples", _ints(-1, 2))
+# options given first, so no search runs at its default size
+BOUNDED = {"optimize": [RESTARTS], "bench": [RESTARTS], "random": [RESTARTS, SAMPLES]}
+FLAGS = {
+    "eval": STATES + [_option("--n1", _numbers(3)), _option("--n2", _numbers(3))] + COMMON,
+    "optimize": STATES + [RESTARTS] + COMMON,
+    "scan-mu": [_option("--steps", _ints(-1, 5))] + COMMON,
+    "bench": [RESTARTS] + COMMON,
+    "random": [RESTARTS, SAMPLES] + COMMON,
+    "qudit": [
+        _option("--d", _ints(-1, 3)),
+        _option("--g1", st.sampled_from(["1,0", "0,1", "1,1"])),
+        _option("--g2", st.sampled_from(["0,1", "2,1"])),
+        _option("--state", st.sampled_from(["ghz", "mixed", "out.txt"])),
+        st.just(("--scan",)),
+    ]
+    + COMMON,
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)) | TOKENS)
+    options = [draw(option) for option in BOUNDED.get(command, [])]
+    options += draw(st.lists(st.one_of(FLAGS.get(command, FLAGS["eval"])), max_size=6))
+    argv = [command] + [token for option in options for token in option]
+    for token in draw(st.lists(TOKENS, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_cli_main_never_raises(tmp_path_factory, argv):
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cli"))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
