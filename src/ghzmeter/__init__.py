@@ -25,14 +25,12 @@ from .linalg import (
     kron,
     spin_observable,
     symplectic_form,
-    triple_observable,
     weyl_operator,
 )
 from .optimize import (
     OptimizationResult,
     convexity_probe,
     e_ghz,
-    frame_from_angles,
     lu_invariance_check,
     maximize_I,
     maximize_mermin,

@@ -19,16 +19,12 @@ NAMED_STATES = ("ghz", "w", "bisep", "product", "mixed")
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
 
-class UsageError(Exception):
-    pass
-
-
 def default_seed():
     raw = os.environ.get("GHZMETER_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"GHZMETER_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"GHZMETER_SEED must be an integer, got {raw!r}") from None
 
 
 def make_named_state(name):
@@ -42,7 +38,7 @@ def make_named_state(name):
         return states.make_product([1, 0], [1, 0], [1, 0])
     if name == "mixed":
         return states.maximally_mixed(2)
-    raise UsageError(f"unknown state {name!r}; valid names: {', '.join(NAMED_STATES)}")
+    raise ValueError(f"unknown state {name!r}; valid names: {', '.join(NAMED_STATES)}")
 
 
 def resolve_state(args):
@@ -52,7 +48,7 @@ def resolve_state(args):
         if getattr(args, opt, None) is not None
     ]
     if len(given) != 1:
-        raise UsageError("give exactly one of --state, --acin, --state-file")
+        raise ValueError("give exactly one of --state, --acin, --state-file")
     if args.state is not None:
         return make_named_state(args.state)
     if getattr(args, "acin", None) is not None:
@@ -61,32 +57,30 @@ def resolve_state(args):
         try:
             return states.make_acin(states.AcinParams(*vals[:5], phi=phi))
         except StateError as exc:
-            raise UsageError(f"--acin: {exc}")
+            raise ValueError(f"--acin: {exc}")
     try:
         return states.load_state(args.state_file)
     except (OSError, StateError) as exc:
-        raise UsageError(f"--state-file: {exc}")
+        raise ValueError(f"--state-file: {exc}")
 
 
 def parse_floats(flag, text, lengths):
     try:
         vals = [float(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
     if len(vals) not in np.atleast_1d(lengths):
-        raise UsageError(f"{flag} expects {lengths} numbers, got {len(vals)}")
+        raise ValueError(f"{flag} expects {lengths} numbers, got {len(vals)}")
     return vals
 
 
 def parse_direction(flag, text):
     vals = parse_floats(flag, text, 3)
-    try:
-        n = np.asarray(vals) / np.linalg.norm(vals)
-        if not np.all(np.isfinite(n)):
-            raise ValueError
-    except (ValueError, FloatingPointError):
-        raise UsageError(f"{flag} must be a nonzero 3-vector, got {text!r}")
-    return n
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norm = np.linalg.norm(vals)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"{flag} must be a 3-vector of nonzero finite norm, got {text!r}")
+    return np.asarray(vals) / norm
 
 
 def emit(args, table_lines, rows, header):
@@ -122,7 +116,7 @@ def cmd_eval(args):
         parse_direction("--n1", args.n1), parse_direction("--n2", args.n2)
     )
     e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
-    value = e.e4 - e.e1 * e.e2 * e.e3
+    value = functional.I_of(e)
     lines = [
         f"n1 = {frame.n1}  n2 = {frame.n2}  (n1.n2 = {fmt9(frame.c)})",
         f"e1 = {fmt9(e.e1)}  e2 = {fmt9(e.e2)}  e3 = {fmt9(e.e3)}  e4 = {fmt9(e.e4)}",
@@ -177,7 +171,7 @@ def cmd_optimize(args):
 
 def cmd_scan_mu(args):
     if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     rows, lines = [], [f"{'mu':>10} {'closed_form':>14} {'direct':>14}"]
     frame = OrthoFrame([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     for mu in np.linspace(0.0, 0.5, args.steps):
@@ -208,7 +202,7 @@ def cmd_bench(args):
 
 def cmd_random(args):
     if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
     values = []
     for _ in range(args.samples):
@@ -247,9 +241,9 @@ def cmd_qudit(args):
         try:
             state = states.load_state(args.state)
         except (OSError, StateError) as exc:
-            raise UsageError(f"--state: {exc}")
+            raise ValueError(f"--state: {exc}")
     if state.local_dim != d:
-        raise UsageError(f"state has local_dim {state.local_dim}, expected {d}")
+        raise ValueError(f"state has local_dim {state.local_dim}, expected {d}")
     if args.scan:
         best, pair, _ = functional.scan_qudit_pairs(state, d)
         lines = [
@@ -266,7 +260,7 @@ def cmd_qudit(args):
         g2 = tuple(int(x) for x in args.g2.split(","))
         pair = functional.QuditGenPair(d, g1, g2)
     except ValueError as exc:
-        raise UsageError(f"invalid generators: {exc}")
+        raise ValueError(f"invalid generators: {exc}")
     value = functional.eval_Id(state, pair)
     residual = functional.qudit_product_residual(pair)
     lines = [
@@ -365,17 +359,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = default_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = default_seed()
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:  # OSError: --output cannot be written
+    except (ValueError, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,12 @@ CONTRACT = "ijk,...i,...j,...k->..."
 
 
 class CorrelatorQuad(NamedTuple):
-    e1: float
-    e2: float
-    e3: float
-    e4: float
+    """e1..e4 = <O1>..<O4>: numpy scalars for two 3-vectors, (...) arrays for (..., 3) axes."""
+
+    e1: float | np.ndarray
+    e2: float | np.ndarray
+    e3: float | np.ndarray
+    e4: float | np.ndarray
 
 
 def pauli_tensor(state):
@@ -65,14 +67,6 @@ class IdentityReport:
     triple_product_residual: float
     sandwich_residual: float
     stabiliser_residual: float
-
-    @property
-    def max_residual(self):
-        return max(
-            self.commutator_residual,
-            self.triple_product_residual,
-            self.sandwich_residual,
-        )
 
 
 def verify_identities(frame):

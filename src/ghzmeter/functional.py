@@ -2,50 +2,50 @@
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .correlators import correlators_from_tensor, pauli_tensor
+from .correlators import CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .linalg import kron, max_norm, symplectic_form, weyl_operator
 from .states import StateError
 
 
+def I_of(e):
+    """I = e4 - e1*e2*e3 of a :class:`CorrelatorQuad`, elementwise over its arrays."""
+    return e.e4 - e.e1 * e.e2 * e.e3
+
+
+def M3_of(e):
+    """Mermin's M3 = e4 - e1 - e2 - e3 of a :class:`CorrelatorQuad`, elementwise."""
+    return e.e4 - e.e1 - e.e2 - e.e3
+
+
 def eval_I(state, frame):
-    """I(n1, n2) = e4 - e1*e2*e3 on a three-qubit state.
+    """I(n1, n2) on a three-qubit state.
 
     The frame need not be orthogonal; orthogonality is a constraint of the
     entanglement indicator's supremum, not of the functional itself.
     """
-    e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
-    return e.e4 - e.e1 * e.e2 * e.e3
+    return I_of(correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2))
 
 
 def mermin_M3(state, frame):
-    """Linear Mermin combination e4 - e1 - e2 - e3 at the frame's axes."""
-    e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
-    return e.e4 - e.e1 - e.e2 - e.e3
+    """Linear Mermin combination M3 at the frame's axes."""
+    return M3_of(correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2))
 
 
 def lhv_oracle():
     """Values of I attainable by deterministic local hidden-variable models.
 
     Enumerates all 64 assignments A(n1), A(n2), B(n1), B(n2), C(n1), C(n2)
-    in {-1, +1} and evaluates I = A1*B1*C1 - (A1*B2*C2)(A2*B1*C2)(A2*B2*C1)
-    for each; returns the set of attained values.
+    in {-1, +1}, where e1..e4 are A1*B2*C2, A2*B1*C2, A2*B2*C1 and A1*B1*C1,
+    and returns the set of values of I they attain.
     """
-    attained = set()
-    for a1, a2, b1, b2, c1, c2 in itertools.product((-1, 1), repeat=6):
-        value = a1 * b1 * c1 - (a1 * b2 * c2) * (a2 * b1 * c2) * (a2 * b2 * c1)
-        attained.add(value)
-    return attained
-
-
-def lhv_identity_holds():
-    """The product of the three mixed terms equals A1*B1*C1 for all 64 assignments."""
-    for a1, a2, b1, b2, c1, c2 in itertools.product((-1, 1), repeat=6):
-        if (a1 * b2 * c2) * (a2 * b1 * c2) * (a2 * b2 * c1) != a1 * b1 * c1:
-            return False
-    return True
+    return {
+        I_of(CorrelatorQuad(a1 * b2 * c2, a2 * b1 * c2, a2 * b2 * c1, a1 * b1 * c1))
+        for a1, a2, b1, b2, c1, c2 in itertools.product((-1, 1), repeat=6)
+    }
 
 
 def closed_form_from_mu(mu):
@@ -100,11 +100,11 @@ class QuditGenPair:
     g2: tuple
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        if not (isinstance(self.d, Integral) and self.d >= 2):
+            raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
         for g in (self.g1, self.g2):
-            if len(g) != 2 or any(not 0 <= x < self.d for x in g):
-                raise ValueError(f"generator {g!r} is not a pair mod {self.d}")
+            if len(g) != 2 or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
+                raise ValueError(f"generator {g!r} is not a pair of integers mod {self.d}")
 
     @property
     def symplectic(self):

@@ -16,10 +16,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
-Z_HAT = np.array([0.0, 0.0, 1.0])
-
 
 def kron(*matrices):
     """Kronecker product of any number of matrices, left to right."""
@@ -36,14 +32,6 @@ def kron(*matrices):
 def max_norm(m):
     """Entrywise max-abs norm, the equality norm used throughout."""
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
-
-
-def is_hermitian(m, atol=ATOL):
-    return max_norm(m - m.conj().T) < atol
-
-
-def is_unitary(m, atol=ATOL):
-    return max_norm(m.conj().T @ m - np.eye(m.shape[0])) < atol
 
 
 def unit_vector(n, atol=ATOL):
@@ -63,18 +51,13 @@ def spin_observable(n):
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
-def triple_observable(na, nb, nc):
-    """Tensor product of single-qubit spin observables on the three parties."""
-    return kron(spin_observable(na), spin_observable(nb), spin_observable(nc))
-
-
 @dataclass(frozen=True)
 class OrthoFrame:
     """Ordered pair of unit measurement directions with derived scalars.
 
     ``c`` is the inner product n1.n2 and ``m`` the cross product n1 x n2.
-    Orthogonality is *not* required at construction; use :meth:`orthogonal`
-    or :attr:`is_orthogonal` where it matters.
+    Orthogonality is *not* required: the functional is defined on any pair,
+    and ``c`` says how far a frame is from orthogonal.
     """
 
     n1: np.ndarray
@@ -89,17 +72,6 @@ class OrthoFrame:
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "c", float(np.dot(n1, n2)))
         object.__setattr__(self, "m", np.cross(n1, n2))
-
-    @property
-    def is_orthogonal(self):
-        return abs(self.c) < 1e-10
-
-    @classmethod
-    def orthogonal(cls, n1, n2, atol=1e-10):
-        frame = cls(n1, n2)
-        if abs(frame.c) >= atol:
-            raise ValueError(f"directions are not orthogonal: n1.n2 = {frame.c!r}")
-        return frame
 
 
 def shift_matrix(d):

@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from numbers import Integral
 
 import numpy as np
 
 from .correlators import correlators_from_tensor, pauli_tensor
-from .functional import w_reduced_I
+from .functional import I_of, M3_of, w_reduced_I
 from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 
@@ -19,28 +20,22 @@ GAIN_ATOL = 1e-15
 CONVERGENCE_ATOL = 1e-8
 
 
-def euler_frame(alpha, beta, gamma):
-    """(R x_hat, R y_hat) for R = Rz(alpha) @ Ry(beta) @ Rz(gamma), in closed form.
-
-    Elementwise in the angles: scalars give two 3-vectors, angle vectors of
-    length N give two (N, 3) direction arrays.
-    """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    n1 = np.array([ca * cb * cg - sa * sg, sa * cb * cg + ca * sg, -sb * cg])
-    n2 = np.array([-ca * cb * sg - sa * cg, ca * cg - sa * cb * sg, sb * sg])
-    return n1.T, n2.T
-
-
 def euler_rotations(angles):
     """Rotations Rz(alpha) @ Ry(beta) @ Rz(gamma) of angle rows (..., 3), as (..., 3, 3).
 
-    The third column, n1 x n2, is the direction at polar angle beta and
-    azimuth alpha.
+    Closed form, elementwise in the angles.  The third column is the
+    direction at polar angle beta and azimuth alpha.
     """
-    n1, n2 = euler_frame(*angles.reshape(-1, 3).T)
-    return np.stack([n1, n2, np.cross(n1, n2)], axis=-1).reshape(angles.shape + (3,))
+    alpha, beta, gamma = np.moveaxis(angles, -1, 0)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    rows = [
+        [ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
+        [sa * cb * cg + ca * sg, ca * cg - sa * cb * sg, sa * sb],
+        [-sb * cg, sb * sg, cb],
+    ]
+    return np.stack([x for row in rows for x in row], axis=-1).reshape(np.shape(alpha) + (3, 3))
 
 
 def rotation_from_vector(omega):
@@ -57,11 +52,6 @@ def rotation_from_vector(omega):
     # sin(t) / t and (1 - cos t) / t**2 = (sin(t/2) / t)**2 / 2, both finite at t = 0
     a, b = np.sinc(theta / np.pi), 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
     return np.eye(3) + a * k + b * (k @ k)
-
-
-def frame_from_angles(alpha, beta, gamma):
-    """Orthonormal frame (R x_hat, R y_hat) from ZYZ Euler angles; exact by construction."""
-    return OrthoFrame(*euler_frame(alpha, beta, gamma))
 
 
 def random_euler_angles(rng, n=None):
@@ -160,8 +150,8 @@ def _search(tensor, functional, directions, starts, restarts):
     stack, the summed polish iterations and the number of rows that ended
     within CONVERGENCE_ATOL of the best.
     """
-    if not 1 <= restarts <= len(starts):
-        raise ValueError(f"restarts must be in [1, {len(starts)}], got {restarts!r}")
+    if not (isinstance(restarts, Integral) and 1 <= restarts <= len(starts)):
+        raise ValueError(f"restarts must be an integer in [1, {len(starts)}], got {restarts!r}")
     scores = np.abs(functional(correlators_from_tensor(tensor, *directions(starts))))
     order = np.argsort(-scores, kind="stable")[:restarts]
     rotations, values, iterations = _polish(tensor, functional, directions, starts[order])
@@ -182,7 +172,7 @@ def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), SAMPLES))
     value, rotation, iterations, converged = _search(
         tensor,
-        lambda e: e.e4 - e.e1 * e.e2 * e.e3,
+        I_of,
         lambda r: (r[..., 0, :, 0], r[..., 0, :, 1]),
         starts[:, None],
         restarts,
@@ -216,7 +206,7 @@ def maximize_mermin(state, restarts=100, seed=0):
     starts = euler_rotations(np.stack([phi, theta, np.zeros_like(phi)], axis=-1))
     return _search(
         pauli_tensor(state),
-        lambda e: e.e4 - e.e1 - e.e2 - e.e3,
+        M3_of,
         lambda r: (r[..., 0, :, 2], r[..., 1, :, 2]),
         starts.swapaxes(0, 1),
         restarts,
@@ -269,10 +259,6 @@ class ConvexityReport:
     max_violation: float
     tolerance: float
 
-    @property
-    def convex_within_tolerance(self):
-        return self.max_violation <= self.tolerance
-
 
 def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0, tolerance=1e-4):
     """Compare the indicator on mixtures against the convex chord.
@@ -282,6 +268,8 @@ def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0, tolerance=1e-4
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 11)
+    if not len(p_grid):
+        raise ValueError("p_grid must hold at least one mixing weight")
     d1, d2 = rho1.density_matrix(), rho2.density_matrix()
     end1 = e_ghz(rho1, restarts=restarts, seed=seed)
     end2 = e_ghz(rho2, restarts=restarts, seed=seed + 1)
@@ -312,6 +300,8 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
 
     Returns (reference, values, max_deviation).
     """
+    if not (isinstance(trials, Integral) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     reference = e_ghz(state, restarts=restarts, seed=seed)
     values = []

@@ -93,20 +93,10 @@ class QuantumState:
             return complex(self.vector.conj() @ operator @ self.vector)
         return complex(np.trace(operator @ self.density))
 
-    def real_expectation(self, operator, imag_atol=1e-10):
-        """Expectation of a Hermitian operator; rejects imaginary residue."""
-        value = self.expectation(operator)
-        if not abs(value.imag) < imag_atol:
-            raise StateError(
-                f"expectation has imaginary residue {value.imag!r}; "
-                "operator is not Hermitian on this state"
-            )
-        return value.real
-
 
 @dataclass(frozen=True)
 class AcinParams:
-    """Canonical-form coordinates lambda_0..lambda_4 >= 0, phi in [0, pi]."""
+    """Canonical-form coordinates lambda_0..lambda_4 in [0, 1], phi in [0, pi]."""
 
     lambda0: float
     lambda1: float
@@ -117,8 +107,9 @@ class AcinParams:
 
     def __post_init__(self):
         lams = self.lambdas
-        if not np.all(lams >= 0):
-            raise StateError(f"lambda coefficients must be nonnegative: {lams}")
+        # checked before squaring, so a huge lambda cannot overflow
+        if not np.all((lams >= 0) & (lams <= 1.0 + NORM_ATOL)):
+            raise StateError(f"lambda coefficients must lie in [0, 1]: {lams}")
         total = float(np.sum(lams**2))
         if not abs(total - 1.0) < NORM_ATOL:
             raise StateError(f"sum of lambda_i^2 must be 1, got {total!r}")
@@ -134,10 +125,6 @@ class AcinParams:
     @property
     def mu(self):
         return self.lambda0 * self.lambda4
-
-    @property
-    def tau3(self):
-        return 4.0 * self.mu**2
 
 
 def make_ghz(d=2):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ghzmeter import OrthoFrame, QuantumState, triple_observable
+from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable
+from ghzmeter.linalg import max_norm
 
 
 # Malformed state files as raw bytes; load_state must reject each with StateError
@@ -43,8 +44,32 @@ def random_mixed_state(rng):
     return QuantumState(2, density=rho / np.trace(rho).real)
 
 
+# The 8x8 operator form of the correlators, the oracle the tensor path is checked on
+X_HAT, Y_HAT, Z_HAT = np.eye(3)
+
+
+def is_hermitian(m, atol=1e-12):
+    return max_norm(m - m.conj().T) < atol
+
+
+def is_unitary(m, atol=1e-12):
+    return max_norm(m.conj().T @ m - np.eye(m.shape[0])) < atol
+
+
+def triple_observable(na, nb, nc):
+    """Tensor product of single-qubit spin observables on the three parties."""
+    return kron(spin_observable(na), spin_observable(nb), spin_observable(nc))
+
+
+def real_expectation(state, operator, imag_atol=1e-10):
+    """Expectation of a Hermitian operator; fails on an imaginary residue."""
+    value = state.expectation(operator)
+    assert abs(value.imag) < imag_atol, f"expectation has imaginary residue {value.imag!r}"
+    return value.real
+
+
 def operator_quad(frame):
-    """O1..O4 of a frame as 8x8 operators, the oracle the tensor path is checked on."""
+    """O1..O4 of a frame as 8x8 operators."""
     n1, n2 = frame.n1, frame.n2
     return (
         triple_observable(n1, n2, n2),

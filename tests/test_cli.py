@@ -10,7 +10,13 @@ import pytest
 import ghzmeter
 from ghzmeter.cli import main
 
-from conftest import MALFORMED_STATE_FILES, operator_quad, random_direction, random_mixed_state
+from conftest import (
+    MALFORMED_STATE_FILES,
+    operator_quad,
+    random_direction,
+    random_mixed_state,
+    real_expectation,
+)
 
 
 def run(capsys, argv):
@@ -100,6 +106,27 @@ def test_value_errors_exit_2(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--state", "ghz", "--n1", "0,0,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "1e308,1e308,0", "--n2", "0,1,0"],
+        ["eval", "--acin", "1e300,0,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"],
+    ],
+)
+def test_rejected_number_writes_one_error_line(argv):
+    # a subprocess, so numpy's once-per-location warnings reach stderr
+    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "ghzmeter.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -243,7 +270,7 @@ def test_eval_matches_operator_oracle(capsys, tmp_path):
         )
         assert code == 0
         doc = json.loads(out)[0]
-        expected = [st.real_expectation(o) for o in operator_quad(frame)]
+        expected = [real_expectation(st, o) for o in operator_quad(frame)]
         got = [doc[key] for key in ("e1", "e2", "e3", "e4")]
         assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
         e1, e2, e3, e4 = expected

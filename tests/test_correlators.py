@@ -11,17 +11,22 @@ from ghzmeter import (
     maximally_mixed,
     mermin_M3,
     pauli_tensor,
-    triple_observable,
     verify_identities,
 )
-from ghzmeter.linalg import SIGMA_X, X_HAT, Y_HAT, Z_HAT, is_hermitian, max_norm
+from ghzmeter.linalg import SIGMA_X, max_norm
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
+    X_HAT,
+    Y_HAT,
+    Z_HAT,
+    is_hermitian,
     operator_quad,
     random_direction,
     random_mixed_state,
     random_orthogonal_frame,
+    real_expectation,
+    triple_observable,
 )
 
 
@@ -85,11 +90,11 @@ def test_pauli_tensor_matches_expectations(rng):
     for st in (haar_random_pure(2, rng), random_mixed_state(rng)):
         tensor = pauli_tensor(st)
         for i, j, k in np.ndindex(3, 3, 3):
-            slow = st.real_expectation(triple_observable(axes[i], axes[j], axes[k]))
+            slow = real_expectation(st, triple_observable(axes[i], axes[j], axes[k]))
             assert abs(tensor[i, j, k] - slow) < 1e-12
         for _ in range(20):
             frame = OrthoFrame(random_direction(rng), random_direction(rng))
-            slow = [st.real_expectation(o) for o in operator_quad(frame)]
+            slow = [real_expectation(st, o) for o in operator_quad(frame)]
             fast = tensor_correlators(st, frame)
             assert np.max(np.abs(np.subtract(fast, slow))) < 1e-12
             e1, e2, e3, e4 = slow
@@ -113,7 +118,9 @@ def test_identities_random_frames(rng):
         report = verify_identities(
             OrthoFrame(random_direction(rng), random_direction(rng))
         )
-        assert report.max_residual < 1e-12
+        assert report.commutator_residual < 1e-12
+        assert report.triple_product_residual < 1e-12
+        assert report.sandwich_residual < 1e-12
 
 
 def test_identities_orthogonal_frame(rng):

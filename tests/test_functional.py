@@ -21,13 +21,12 @@ from ghzmeter import (
     scan_qudit_pairs,
     schmidt_subfamily_I,
     tau3_relation,
-    triple_observable,
     w_reduced_I,
 )
-from ghzmeter.functional import lhv_identity_holds, qudit_product_residual
+from ghzmeter.functional import qudit_product_residual
 from ghzmeter.states import StateError, haar_random_pure
 
-from conftest import random_direction, random_orthogonal_frame
+from conftest import random_direction, random_orthogonal_frame, real_expectation, triple_observable
 
 
 def random_acin(rng):
@@ -52,7 +51,9 @@ def test_eval_I_rejects_qutrits(frame_xy):
 
 def test_lhv_oracle_attains_only_zero():
     assert lhv_oracle() == {0}
-    assert lhv_identity_holds()
+    # the product of the three mixed terms equals A1*B1*C1 for all 64 assignments
+    for a1, a2, b1, b2, c1, c2 in itertools.product((-1, 1), repeat=6):
+        assert (a1 * b2 * c2) * (a2 * b1 * c2) * (a2 * b2 * c1) == a1 * b1 * c1
 
 
 def test_lhv_all_plus_assignment():
@@ -99,7 +100,7 @@ def test_acin_correlators_values_and_independence(rng):
             reference = pred
         assert np.allclose(pred, reference, atol=1e-12)
         st = make_acin(p)
-        measured = [st.real_expectation(o) for o in obs]
+        measured = [real_expectation(st, o) for o in obs]
         assert np.allclose(measured, pred, atol=1e-12)
 
 
@@ -166,6 +167,15 @@ def test_gen_pair_validation():
         QuditGenPair(3, (3, 0), (0, 1))
     with pytest.raises(ValueError):
         QuditGenPair(1, (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "d, g1, g2",
+    [(2.5, (1, 0), (0, 1)), (3.0, (1, 0), (0, 1)), (3, (1, 0), (0, 1.5)), (3, (1.0, 0), (0, 1))],
+)
+def test_gen_pair_rejects_non_integers(d, g1, g2):
+    with pytest.raises(ValueError):
+        QuditGenPair(d, g1, g2)
 
 
 def test_eval_Id_reduces_to_qubit_functional():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ghzmeter import OrthoFrame, kron, spin_observable, triple_observable, weyl_operator
+from ghzmeter import OrthoFrame, kron, spin_observable, weyl_operator
 from ghzmeter.linalg import (
     IDENTITY_2,
     PAULIS,
@@ -11,15 +11,13 @@ from ghzmeter.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     clock_matrix,
-    is_hermitian,
-    is_unitary,
     max_norm,
     shift_matrix,
     symplectic_form,
     unit_vector,
 )
 
-from conftest import random_direction
+from conftest import is_hermitian, is_unitary, random_direction, triple_observable
 
 
 def test_kron_identity():
@@ -103,9 +101,8 @@ def test_ortho_frame_scalars(rng):
 
 
 def test_ortho_frame_orthogonality_flag():
-    assert OrthoFrame([1, 0, 0], [0, 1, 0]).is_orthogonal
-    with pytest.raises(ValueError):
-        OrthoFrame.orthogonal([1, 0, 0], [1, 0, 0])
+    assert OrthoFrame([1, 0, 0], [0, 1, 0]).c == 0.0
+    assert OrthoFrame([1, 0, 0], [1, 0, 0]).c == 1.0
 
 
 def test_unit_vector_validation():

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzmeter import AcinParams, OrthoFrame, QuantumState, StateError
+from ghzmeter import AcinParams, OrthoFrame, QuantumState, QuditGenPair, StateError
 from ghzmeter.cli import NAMED_STATES, main
 
 # every float, nan and +-inf included
@@ -57,6 +57,23 @@ def test_acin_params_is_valid_or_raises(lambdas, phi):
         return
     assert np.all(np.isfinite(params.lambdas)) and abs(np.sum(params.lambdas**2) - 1) < 1e-9
     assert 0 <= params.phi <= np.pi
+
+
+NUMBERS = st.integers(-1, 4) | st.floats(-1, 5) | FLOATS | st.integers(-(2**70), 2**70)
+LABELS = st.tuples(NUMBERS, NUMBERS) | st.lists(NUMBERS, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=NUMBERS, g1=LABELS, g2=LABELS)
+def test_qudit_gen_pair_is_valid_or_raises(d, g1, g2):
+    try:
+        pair = QuditGenPair(d, g1, g2)
+    except ValueError:
+        return
+    assert isinstance(pair.d, int) and pair.d >= 2
+    for g in (pair.g1, pair.g2):
+        assert len(g) == 2 and all(isinstance(x, int) and 0 <= x < pair.d for x in g)
+    assert pair.symplectic in range(pair.d)
 
 
 # Free tokens carry no digit, so no free token is a count that would make a

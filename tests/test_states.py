@@ -22,12 +22,11 @@ from ghzmeter import (
     make_w,
     maximally_mixed,
     save_state,
-    triple_observable,
 )
 from ghzmeter.linalg import SIGMA_X, SIGMA_Z, shift_matrix
 from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 
-from conftest import MALFORMED_STATE_FILES, operator_quad
+from conftest import MALFORMED_STATE_FILES, operator_quad, real_expectation, triple_observable
 
 
 def test_ghz_amplitudes():
@@ -46,9 +45,9 @@ def test_ghz_qutrit():
 
 def test_w_correlators():
     w = make_w()
-    assert abs(w.real_expectation(kron(SIGMA_Z, SIGMA_Z, SIGMA_Z)) + 1.0) < 1e-12
-    assert abs(w.real_expectation(kron(SIGMA_X, SIGMA_X, SIGMA_Z)) - 2 / 3) < 1e-12
-    assert abs(w.real_expectation(kron(SIGMA_X, SIGMA_X, SIGMA_X))) < 1e-12
+    assert abs(real_expectation(w, kron(SIGMA_Z, SIGMA_Z, SIGMA_Z)) + 1.0) < 1e-12
+    assert abs(real_expectation(w, kron(SIGMA_X, SIGMA_X, SIGMA_Z)) - 2 / 3) < 1e-12
+    assert abs(real_expectation(w, kron(SIGMA_X, SIGMA_X, SIGMA_X))) < 1e-12
 
 
 def test_acin_special_cases():
@@ -106,10 +105,10 @@ def test_biseparable_example_correlators():
     phi_plus = np.array([1, 0, 0, 1]) / np.sqrt(2)
     st = make_biseparable("A|BC", [1, 0], phi_plus)
     z, x = [0, 0, 1], [1, 0, 0]
-    e1 = st.real_expectation(triple_observable(z, x, x))
-    e4 = st.real_expectation(triple_observable(z, z, z))
-    e2 = st.real_expectation(triple_observable(x, z, x))
-    e3 = st.real_expectation(triple_observable(x, x, z))
+    e1 = real_expectation(st, triple_observable(z, x, x))
+    e4 = real_expectation(st, triple_observable(z, z, z))
+    e2 = real_expectation(st, triple_observable(x, z, x))
+    e3 = real_expectation(st, triple_observable(x, x, z))
     assert abs(e1 - 1.0) < 1e-12 and abs(e4 - 1.0) < 1e-12
     assert abs(e2) < 1e-12 and abs(e3) < 1e-12
 
@@ -129,9 +128,9 @@ def test_biseparable_cut_permutes_correlators(rng):
     a_bc = make_biseparable("A|BC", single, pair)
     b_ac = make_biseparable("B|AC", single, pair)
     c_ab = make_biseparable("C|AB", single, pair)
-    ref = a_bc.real_expectation(triple_observable(na, nb, nc))
-    assert abs(b_ac.real_expectation(triple_observable(nb, na, nc)) - ref) < 1e-12
-    assert abs(c_ab.real_expectation(triple_observable(nb, nc, na)) - ref) < 1e-12
+    ref = real_expectation(a_bc, triple_observable(na, nb, nc))
+    assert abs(real_expectation(b_ac, triple_observable(nb, na, nc)) - ref) < 1e-12
+    assert abs(real_expectation(c_ab, triple_observable(nb, nc, na)) - ref) < 1e-12
 
 
 def test_biseparable_validation():
@@ -169,9 +168,9 @@ def test_haar_rotation_invariance():
     before, after = [], []
     for _ in range(10_000):
         st = haar_random_pure(2, rng)
-        before.append(st.real_expectation(op))
+        before.append(real_expectation(st, op))
         rotated = apply_local_unitaries(st, u, np.eye(2), np.eye(2))
-        after.append(rotated.real_expectation(op))
+        after.append(real_expectation(rotated, op))
     assert stats.ks_2samp(before, after).pvalue > 0.01
 
 
