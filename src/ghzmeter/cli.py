@@ -75,12 +75,15 @@ def parse_floats(flag, text, lengths):
 
 
 def parse_direction(flag, text):
-    vals = parse_floats(flag, text, 3)
+    vals = np.asarray(parse_floats(flag, text, 3))
+    scale = np.max(np.abs(vals))
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        norm = np.linalg.norm(vals)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"{flag} must be a 3-vector of nonzero finite norm, got {text!r}")
-    return np.asarray(vals) / norm
+        if not (0.0 < scale and np.linalg.norm(vals) < np.inf):
+            raise ValueError(f"{flag} must be a 3-vector of nonzero finite norm, got {text!r}")
+    # divided first by the power of two at max|v|: exact, so every direction
+    # whose squares stay normal keeps its rounding, and tiny ones cannot underflow
+    unit = np.ldexp(vals, -np.frexp(scale)[1])
+    return unit / np.linalg.norm(unit)
 
 
 def emit(args, table_lines, rows, header):

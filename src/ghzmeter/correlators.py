@@ -1,6 +1,7 @@
 """Three-body Pauli correlations of a qubit state, their contraction to e1..e4,
 and the operator identities of a frame."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,17 +47,46 @@ def pauli_tensor(state):
     return t.real.reshape(3, 3, 3)
 
 
+def _dot3(x, y):
+    """Sum over the leading axis of length 3, elementwise in the rest."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def correlators_from_tensor(tensor, n1, n2):
     """(e1..e4) by contracting the Pauli tensor with the two directions.
 
     Directions of shape (..., 3) give e1..e4 of shape (...), one entry per
     pair of rows; two 3-vectors give numpy float scalars.
+
+    Two 3-vectors take one einsum per correlator.  Arrays of rows take one
+    BLAS product T(., ., d) for every column d of D = [n1 | n2], then
+    contract the middle slot and the first by multiply-adds along the rows,
+    with temporaries linear in the number of rows.
     """
-    e1 = np.einsum(CONTRACT, tensor, n1, n2, n2)
-    e2 = np.einsum(CONTRACT, tensor, n2, n1, n2)
-    e3 = np.einsum(CONTRACT, tensor, n2, n2, n1)
-    e4 = np.einsum(CONTRACT, tensor, n1, n1, n1)
-    return CorrelatorQuad(e1, e2, e3, e4)
+    if np.ndim(n1) == np.ndim(n2) == 1:
+        e1 = np.einsum(CONTRACT, tensor, n1, n2, n2)
+        e2 = np.einsum(CONTRACT, tensor, n2, n1, n2)
+        e3 = np.einsum(CONTRACT, tensor, n2, n2, n1)
+        e4 = np.einsum(CONTRACT, tensor, n1, n1, n1)
+        return CorrelatorQuad(e1, e2, e3, e4)
+    n1, n2 = np.broadcast_arrays(n1, n2)
+    shape = n1.shape[:-1]
+    rows = math.prod(shape)
+    # D = [n1 | n2], contiguous along the rows that the multiply-adds run over
+    d = np.empty((3, 2 * rows))
+    d[:, :rows] = n1.reshape(rows, 3).T
+    d[:, rows:] = n2.reshape(rows, 3).T
+    u, v = d[:, :rows], d[:, rows:]
+    # t[j, i, c] = T(e_i, e_j, d_c): middle slot leading, so _dot3 contracts it
+    t = (tensor.reshape(9, 3) @ d).reshape(3, 3, -1).swapaxes(0, 1)
+    t1, t2 = t[..., :rows], t[..., rows:]
+    quad = (
+        _dot3(u, _dot3(t2, v)),
+        _dot3(v, _dot3(t2, u)),
+        _dot3(v, _dot3(t1, v)),
+        _dot3(u, _dot3(t1, u)),
+    )
+    return CorrelatorQuad(*(e.reshape(shape) for e in quad))
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,14 @@ class OptimizationResult:
         return self.best_value / 2.0
 
 
-def _stencil(dim):
-    """Central-difference stencil in `dim` chart coordinates, STENCIL_STEP apart.
+def _stencil(p):
+    """Central-difference stencil in the 3p chart coordinates of p rotations, STENCIL_STEP apart.
 
-    Returns the offsets (m, dim) and the weights (m, dim) and (m, dim, dim)
-    that turn the m values at those offsets into gradient and Hessian.
+    Returns the m moves exp([offset]_x) as (m, p, 3, 3) rotations, and the
+    weights (m, 3p) and (m, 3p, 3p) that turn the m values at those moves
+    into gradient and Hessian.
     """
+    dim = 3 * p
     eye = np.eye(dim)
     rows = [(np.zeros(dim), np.zeros(dim), -2.0 * eye)]
     for i, s in product(range(dim), (1.0, -1.0)):
@@ -90,7 +92,12 @@ def _stencil(dim):
         pair = np.outer(eye[i], eye[j])
         rows.append((a * eye[i] + b * eye[j], np.zeros(dim), 0.25 * a * b * (pair + pair.T)))
     offsets, grad, hess = map(np.array, zip(*rows))
-    return STENCIL_STEP * offsets, grad / STENCIL_STEP, hess / STENCIL_STEP**2
+    moves = rotation_from_vector((STENCIL_STEP * offsets).reshape(-1, p, 3))
+    return moves, grad / STENCIL_STEP, hess / STENCIL_STEP**2
+
+
+# one stencil per stack size: p = 1 for maximize_I, p = 2 for maximize_mermin
+STENCILS = {p: _stencil(p) for p in (1, 2)}
 
 
 def _polish(tensor, functional, directions, rotations):
@@ -107,8 +114,7 @@ def _polish(tensor, functional, directions, rotations):
     """
     rotations = rotations.copy()
     k, p = rotations.shape[:2]
-    offsets, grad_weights, hess_weights = _stencil(3 * p)
-    moves = rotation_from_vector(offsets.reshape(-1, p, 3))
+    moves, grad_weights, hess_weights = STENCILS[p]
 
     def derivatives(r):
         e = functional(correlators_from_tensor(tensor, *directions(moves @ r[:, None])))

@@ -46,7 +46,8 @@ class QuantumState:
                 raise StateError(
                     f"expected {dim} amplitudes for local_dim {d}, got {v.shape[0]}"
                 )
-            norm = np.linalg.norm(v)
+            with np.errstate(over="ignore"):  # a norm past the float range reads inf
+                norm = np.linalg.norm(v)
             if not abs(norm - 1.0) < NORM_ATOL:
                 raise StateError(f"pure state not normalized: ||psi|| = {norm!r}")
             v.setflags(write=False)

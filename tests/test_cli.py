@@ -129,6 +129,37 @@ def test_rejected_number_writes_one_error_line(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_huge_amplitude_writes_one_error_line(tmp_path):
+    # |psi|^2 overflows; a subprocess, so numpy's once-per-location warnings reach stderr
+    path = tmp_path / "huge.json"
+    amplitudes = [[1e200, 0]] + [[0, 0]] * 7
+    path.write_text(json.dumps({"local_dim": 2, "kind": "pure", "amplitudes": amplitudes}))
+    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
+    for argv in (
+        ["eval", "--state-file", str(path), "--n1", "1,0,0", "--n2", "0,1,0"],
+        ["qudit", "--d", "2", "--state", str(path)],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "ghzmeter.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: --state") and done.stderr.count("\n") == 1
+
+
+def test_tiny_direction_is_normalised(capsys):
+    # the squares of 1e-160 are subnormal; the direction is still x
+    values = []
+    for n1 in ("1e-160,0,0", "1,0,0"):
+        argv = ["eval", "--state", "ghz", "--n1", n1, "--n2", "0,1,0", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        values.append(json.loads(out)[0]["I"])
+    assert values[0] == values[1]
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     argv = ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0"]
     code, out, err = run(capsys, argv + ["--output", str(tmp_path / "missing" / "out.txt")])

@@ -14,6 +14,7 @@ from ghzmeter import (
     verify_identities,
 )
 from ghzmeter.linalg import SIGMA_X, max_norm
+from ghzmeter.optimize import STENCILS, euler_rotations, random_euler_angles
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
@@ -111,6 +112,46 @@ def test_correlators_batch_matches_rows(rng):
     for row in range(50):
         single = correlators_from_tensor(tensor, n1[row], n2[row])
         assert np.max(np.abs(np.array(batch)[:, row] - np.array(single))) < 1e-15
+
+
+def operator_correlators(state, n1, n2):
+    """e1..e4 of every row pair from the 8x8 operators, shaped like the leading axes."""
+    rows = [
+        [real_expectation(state, o) for o in operator_quad(OrthoFrame(a, b))]
+        for a, b in zip(n1.reshape(-1, 3), n2.reshape(-1, 3))
+    ]
+    return np.moveaxis(np.array(rows), -1, 0).reshape((4,) + n1.shape[:-1])
+
+
+def assert_matches_operators(state, n1, n2):
+    batch = correlators_from_tensor(pauli_tensor(state), n1, n2)
+    assert all(e.shape == n1.shape[:-1] for e in batch)
+    assert np.max(np.abs(np.array(batch) - operator_correlators(state, n1, n2))) < 1e-12
+
+
+def test_correlators_score_batch_matches_operators(rng):
+    # as many rows as the starts maximize_I scores in one call
+    r = euler_rotations(random_euler_angles(rng, 4096))
+    assert_matches_operators(random_mixed_state(rng), r[..., :, 0], r[..., :, 1])
+
+
+def test_correlators_stencil_batches_match_operators(rng):
+    # the strided (k, m) direction views of the maximize_I and Mermin stencils
+    state = random_mixed_state(rng)
+    for p, m, directions in (
+        (1, 19, lambda r: (r[..., 0, :, 0], r[..., 0, :, 1])),
+        (2, 73, lambda r: (r[..., 0, :, 2], r[..., 1, :, 2])),
+    ):
+        moves = STENCILS[p][0]
+        r = moves @ euler_rotations(random_euler_angles(rng, (8, p)))[:, None]
+        assert r.shape == (8, m, p, 3, 3)
+        assert_matches_operators(state, *directions(r))
+
+
+def test_correlators_of_two_vectors_are_float_scalars(rng):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    quad = correlators_from_tensor(tensor, random_direction(rng), random_direction(rng))
+    assert all(type(e) is np.float64 for e in quad)
 
 
 def test_identities_random_frames(rng):
