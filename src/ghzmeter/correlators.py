@@ -23,6 +23,11 @@ PAULI_STRINGS = np.einsum(
 CONTRACT = "ijk,...i,...j,...k->..."
 
 
+# which of (n1, n2) fills each slot of T: e1 = T(n1, n2, n2), e2 = T(n2, n1, n2),
+# e3 = T(n2, n2, n1) and e4 = T(n1, n1, n1)
+SLOTS = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0))
+
+
 class CorrelatorQuad(NamedTuple):
     """e1..e4 = <O1>..<O4>: numpy scalars for two 3-vectors, (...) arrays for (..., 3) axes."""
 

@@ -4,6 +4,7 @@ Everything here acts on spaces of dimension at most d**3 <= 125, so all
 matrices are plain dense complex numpy arrays and every function is pure.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ def unit_vector(n, atol=ATOL):
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"direction must be a real 3-vector, got shape {n.shape}")
-    norm = np.linalg.norm(n)
+    # hypot scales its arguments, so a huge entry gives its length, not an overflow warning
+    norm = math.hypot(*n)
     if not abs(norm - 1.0) < atol:
         raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
     return n

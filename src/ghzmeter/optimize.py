@@ -1,12 +1,12 @@
 """Maximization of |I| over orthonormal frames and related numerical probes."""
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
-from .correlators import correlators_from_tensor, pauli_tensor
+from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .functional import I_of, M3_of, w_reduced_I
 from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
@@ -14,10 +14,17 @@ from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 DEFAULT_RESTARTS = 300
 SAMPLES = 4096
 MAX_ITER = 200
-STENCIL_STEP = 1e-4
 INITIAL_DAMPING = 1e-3
 GAIN_ATOL = 1e-15
 CONVERGENCE_ATOL = 1e-8
+
+# (rotation, column) of n1 and of n2 in a stack of rotations: maximize_I takes
+# the first two columns of one rotation, maximize_mermin the third column of each of two
+FRAME_COLUMNS = ((0, 0), (0, 1))
+MERMIN_COLUMNS = ((0, 2), (1, 2))
+
+# (w x e_c)_j = LEVI_CIVITA[j, l, c] w_l
+LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
 
 
 def euler_rotations(angles):
@@ -76,53 +83,123 @@ class OptimizationResult:
         return self.best_value / 2.0
 
 
-def _stencil(p):
-    """Central-difference stencil in the 3p chart coordinates of p rotations, STENCIL_STEP apart.
+class Jet(NamedTuple):
+    """Value (...), gradient (..., m) and Hessian (..., m, m) of functions at a point.
 
-    Returns the m moves exp([offset]_x) as (m, p, 3, 3) rotations, and the
-    weights (m, 3p) and (m, 3p, 3p) that turn the m values at those moves
-    into gradient and Hessian.
+    Differences and products follow the rules of differentiation, so
+    `I_of` and `M3_of` on a :class:`CorrelatorQuad` of jets give the jet of
+    I or M3.
     """
-    dim = 3 * p
-    eye = np.eye(dim)
-    rows = [(np.zeros(dim), np.zeros(dim), -2.0 * eye)]
-    for i, s in product(range(dim), (1.0, -1.0)):
-        rows.append((s * eye[i], 0.5 * s * eye[i], np.outer(eye[i], eye[i])))
-    for (i, j), (a, b) in product(combinations(range(dim), 2), product((1.0, -1.0), repeat=2)):
-        pair = np.outer(eye[i], eye[j])
-        rows.append((a * eye[i] + b * eye[j], np.zeros(dim), 0.25 * a * b * (pair + pair.T)))
-    offsets, grad, hess = map(np.array, zip(*rows))
-    moves = rotation_from_vector((STENCIL_STEP * offsets).reshape(-1, p, 3))
-    return moves, grad / STENCIL_STEP, hess / STENCIL_STEP**2
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+
+    def __sub__(self, other):
+        return Jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+
+    def __mul__(self, other):
+        a, b = self.value[..., None], other.value[..., None]
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
+        return Jet(
+            self.value * other.value,
+            a * other.grad + b * self.grad,
+            a[..., None] * other.hess
+            + b[..., None] * self.hess
+            + cross
+            + cross.swapaxes(-1, -2),
+        )
 
 
-# one stencil per stack size: p = 1 for maximize_I, p = 2 for maximize_mermin
-STENCILS = {p: _stencil(p) for p in (1, 2)}
+def _column_jet(p, rotation, column):
+    """Jet at w = 0 of R_r exp([w_r]_x) e_c in the 3p columns of a stack of p rotations.
+
+    The chart coordinates w are the p body rotation vectors, and the
+    direction moves as R_r (e_c + w_r x e_c + w_r x (w_r x e_c) / 2 + ...),
+    so its coordinate 3r + j in the columns R_r e_j has the value, gradient
+    and Hessian below, with shapes (3p,), (3p, 3p) and (3p, 3p, 3p).
+    """
+    m, block = 3 * p, slice(3 * rotation, 3 * rotation + 3)
+    value, grad, hess = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
+    value[3 * rotation + column] = 1.0
+    grad[block, block] = LEVI_CIVITA[:, :, column]
+    twice = np.einsum("jas,sb->jab", LEVI_CIVITA, LEVI_CIVITA[:, :, column])
+    hess[block, block, block] = 0.5 * (twice + twice.swapaxes(1, 2))
+    return Jet(value, grad, hess)
 
 
-def _polish(tensor, functional, directions, rotations):
+def _chart_table(columns):
+    """The fixed linear map from T' to the jets of e1..e4 in the body chart.
+
+    T'[u, v, w] = T(C_u, C_v, C_w), where C holds the m = 3p columns of a
+    stack of p rotations.  Each direction is a jet of coordinates in C
+    (:func:`_column_jet`), so each e_i = T(x, y, z) has the jet
+    sum over (u, v, w) of T'[u, v, w] x_u y_v z_w.  Returns shape
+    (m**3, 4, 1 + m + m*m): per T' entry and correlator, the value, the
+    gradient and the flattened Hessian.
+    """
+    p = 1 + max(r for r, _ in columns)
+    m = 3 * p
+    jets = [_column_jet(p, r, c) for r, c in columns]
+
+    def along(jet, axis):
+        shape = [1, 1, 1]
+        shape[axis] = m
+        return Jet(*(x.reshape(shape + list(x.shape[1:])) for x in jet))
+
+    table = []
+    for slots in SLOTS:
+        e = along(jets[slots[0]], 0) * along(jets[slots[1]], 1) * along(jets[slots[2]], 2)
+        table.append(np.concatenate([x.reshape(m**3, -1) for x in e], axis=1))
+    return np.stack(table, axis=1)
+
+
+CHART_TABLES = {columns: _chart_table(columns) for columns in (FRAME_COLUMNS, MERMIN_COLUMNS)}
+
+
+def _directions(rotations, columns):
+    """(n1, n2) of rotation stacks (..., p, 3, 3): column c of rotation r for each (r, c)."""
+    return tuple(rotations[..., r, :, c] for r, c in columns)
+
+
+def _derivatives(tensor, functional, columns, rotations):
+    """Value, gradient and Hessian of |functional| at every row of `rotations`, shape (k, p, 3, 3).
+
+    Derivatives are taken in the 3p coordinates of the body chart
+    R_r exp([w_r]_x).  Three batched products give T' of every row, and one
+    product with the chart table gives the jets of e1..e4, which the
+    functional combines.  The value's sign makes them those of |functional|.
+    """
+    k, p = rotations.shape[:2]
+    m = 3 * p
+    table = CHART_TABLES[columns]
+    c = rotations.transpose(0, 2, 1, 3).reshape(k, 3, m)
+    ct = c.swapaxes(1, 2)
+    t = tensor.reshape(9, 3) @ c  # T(e_i, e_j, C_w)
+    t = ct[:, None] @ t.reshape(k, 3, 3, m)  # T(e_i, C_v, C_w)
+    t = ct @ t.reshape(k, 3, m * m)  # T(C_u, C_v, C_w)
+    jets = (t.reshape(k, m**3) @ table.reshape(m**3, -1)).reshape(k, 4, -1).swapaxes(0, 1)
+    quad = (Jet(j[:, 0], j[:, 1 : m + 1], j[:, m + 1 :].reshape(k, m, m)) for j in jets)
+    f = functional(CorrelatorQuad(*quad))
+    sign = np.sign(f.value)
+    return sign * f.value, sign[:, None] * f.grad, sign[:, None, None] * f.hess
+
+
+def _polish(tensor, functional, columns, rotations):
     """Levenberg-Marquardt ascent of |functional| from every row of `rotations` at once.
 
-    Each row is a stack of p rotations, shape (p, 3, 3), moved in the
-    rotation-vector chart exp([w]_x) @ R around itself, re-centred after
-    every accepted step.  The gradient and Hessian in the 3p chart
-    coordinates come from one batched central-difference stencil.  A step
-    solves (-H + (max(0, -lambda_min(-H)) + damp) I) s = g; damp shrinks by
-    3 after a gain and grows by 4 after a loss, and a row retires once the
-    gain its quadratic model predicts is below GAIN_ATOL.  Returns the final
+    Each row is a stack of p rotations, shape (p, 3, 3), moved in the body
+    chart R exp([w]_x) around itself, re-centred after every accepted step.
+    The gradient and Hessian in the 3p chart coordinates are exact, from
+    :func:`_derivatives`.  A step solves
+    (-H + (max(0, -lambda_min(-H)) + damp) I) s = g; damp shrinks by 3 after
+    a gain and grows by 4 after a loss, and a row retires once the gain its
+    quadratic model predicts is below GAIN_ATOL.  Returns the final
     rotations, their values and the summed iterations of all rows.
     """
     rotations = rotations.copy()
     k, p = rotations.shape[:2]
-    moves, grad_weights, hess_weights = STENCILS[p]
-
-    def derivatives(r):
-        e = functional(correlators_from_tensor(tensor, *directions(moves @ r[:, None])))
-        # the centre's sign keeps the stencil off the kink of |.| at 0
-        v = np.sign(e[:, :1]) * e
-        return v[:, 0], v @ grad_weights, np.tensordot(v, hess_weights, 1)
-
-    values, grad, hess = derivatives(rotations)
+    values, grad, hess = _derivatives(tensor, functional, columns, rotations)
     damp = np.full(k, INITIAL_DAMPING)
     active, iterations = np.arange(k), 0
     for _ in range(MAX_ITER):
@@ -134,8 +211,8 @@ def _polish(tensor, functional, directions, rotations):
         active, step = active[keep], step[keep]
         if not active.size:
             break
-        trial = rotation_from_vector(step.reshape(-1, p, 3)) @ rotations[active]
-        t_values, t_grad, t_hess = derivatives(trial)
+        trial = rotations[active] @ rotation_from_vector(step.reshape(-1, p, 3))
+        t_values, t_grad, t_hess = _derivatives(tensor, functional, columns, trial)
         gain = t_values > values[active]
         moved = active[gain]
         rotations[moved], values[moved] = trial[gain], t_values[gain]
@@ -145,25 +222,38 @@ def _polish(tensor, functional, directions, rotations):
     return rotations, values, iterations
 
 
-def _search(tensor, functional, directions, starts, restarts):
+def _best_rows(scores, count):
+    """np.argsort(-scores, kind="stable")[:count] by a partial selection.
+
+    Every row that scores at least the count-th best is kept, and only those
+    are sorted, so tied scores stay in index order.
+    """
+    lower = -scores
+    kth = np.partition(lower, count - 1)[count - 1]
+    rows = np.flatnonzero(lower <= kth)
+    return rows[np.argsort(lower[rows], kind="stable")][:count]
+
+
+def _search(tensor, functional, columns, starts, restarts):
     """Maximize |functional(e1..e4)| over stacks of rotations.
 
-    `starts` has shape (n, p, 3, 3) and `directions` maps rotation stacks
-    (..., p, 3, 3) to the two direction arrays (..., 3).  All starts are
-    scored in one batched contraction, then the best `restarts` of them are
-    polished together by :func:`_polish`.  The order is a stable sort, so
-    more restarts only add rows.  Returns the best value, its rotation
-    stack, the summed polish iterations and the number of rows that ended
-    within CONVERGENCE_ATOL of the best.
+    `starts` has shape (n, p, 3, 3), and `columns` names the (rotation,
+    column) of n1 and of n2 in a stack.  All starts are scored in one
+    batched contraction, then the best `restarts` of them are polished
+    together by :func:`_polish`.  Ties keep index order, so more restarts
+    only add rows.  Returns the best value, its directions (n1, n2), the
+    summed polish iterations and the number of rows that ended within
+    CONVERGENCE_ATOL of the best.
     """
     if not (isinstance(restarts, Integral) and 1 <= restarts <= len(starts)):
         raise ValueError(f"restarts must be an integer in [1, {len(starts)}], got {restarts!r}")
-    scores = np.abs(functional(correlators_from_tensor(tensor, *directions(starts))))
-    order = np.argsort(-scores, kind="stable")[:restarts]
-    rotations, values, iterations = _polish(tensor, functional, directions, starts[order])
+    scores = np.abs(functional(correlators_from_tensor(tensor, *_directions(starts, columns))))
+    rotations, values, iterations = _polish(
+        tensor, functional, columns, starts[_best_rows(scores, restarts)]
+    )
     best = int(np.argmax(values))
     converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
-    return float(values[best]), rotations[best], iterations, converged
+    return float(values[best]), _directions(rotations[best], columns), iterations, converged
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
@@ -176,16 +266,12 @@ def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     """
     tensor = pauli_tensor(state)
     starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), SAMPLES))
-    value, rotation, iterations, converged = _search(
-        tensor,
-        I_of,
-        lambda r: (r[..., 0, :, 0], r[..., 0, :, 1]),
-        starts[:, None],
-        restarts,
+    value, directions, iterations, converged = _search(
+        tensor, I_of, FRAME_COLUMNS, starts[:, None], restarts
     )
     return OptimizationResult(
         best_value=value,
-        best_frame=OrthoFrame(rotation[0, :, 0], rotation[0, :, 1]),
+        best_frame=OrthoFrame(*directions),
         restarts=restarts,
         seed=seed,
         iterations_total=iterations,
@@ -210,13 +296,7 @@ def maximize_mermin(state, restarts=100, seed=0):
     theta = np.arccos(rng.uniform(-1.0, 1.0, (2, SAMPLES)))
     phi = rng.uniform(0.0, 2.0 * np.pi, (2, SAMPLES))
     starts = euler_rotations(np.stack([phi, theta, np.zeros_like(phi)], axis=-1))
-    return _search(
-        pauli_tensor(state),
-        M3_of,
-        lambda r: (r[..., 0, :, 2], r[..., 1, :, 2]),
-        starts.swapaxes(0, 1),
-        restarts,
-    )[0]
+    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts.swapaxes(0, 1), restarts)[0]
 
 
 def w_analytic_max():

@@ -14,7 +14,7 @@ from ghzmeter import (
     verify_identities,
 )
 from ghzmeter.linalg import SIGMA_X, max_norm
-from ghzmeter.optimize import STENCILS, euler_rotations, random_euler_angles
+from ghzmeter.optimize import euler_rotations, random_euler_angles, rotation_from_vector
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
@@ -136,16 +136,14 @@ def test_correlators_score_batch_matches_operators(rng):
 
 
 def test_correlators_stencil_batches_match_operators(rng):
-    # the strided (k, m) direction views of the maximize_I and Mermin stencils
+    # strided (k, m) direction views: m small moves of k stacks of p rotations,
+    # n1 and n2 the first two columns of one rotation or the third of each of two
     state = random_mixed_state(rng)
-    for p, m, directions in (
-        (1, 19, lambda r: (r[..., 0, :, 0], r[..., 0, :, 1])),
-        (2, 73, lambda r: (r[..., 0, :, 2], r[..., 1, :, 2])),
-    ):
-        moves = STENCILS[p][0]
+    for p, m, columns in ((1, 19, ((0, 0), (0, 1))), (2, 73, ((0, 2), (1, 2)))):
+        moves = rotation_from_vector(1e-4 * rng.standard_normal((m, p, 3)))
         r = moves @ euler_rotations(random_euler_angles(rng, (8, p)))[:, None]
         assert r.shape == (8, m, p, 3, 3)
-        assert_matches_operators(state, *directions(r))
+        assert_matches_operators(state, *(r[..., i, :, c] for i, c in columns))
 
 
 def test_correlators_of_two_vectors_are_float_scalars(rng):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ def test_unit_vector_rejects_non_finite(bad):
         OrthoFrame([bad, 0, 0], [0, 1, 0])
     with pytest.raises(ValueError):
         OrthoFrame([1, 0, 0], [0, bad, 1])
+
+
+def test_huge_direction_raises_without_warning():
+    # the norm overflows to inf; that is a length error, not a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unit length"):
+            OrthoFrame([1e200, 0, 0], [0, 1, 0])
 
 
 def test_weyl_recovers_paulis():

@@ -16,15 +16,22 @@ from ghzmeter import (
     maximize_I,
     w_analytic_max,
 )
+from ghzmeter.correlators import correlators_from_tensor, pauli_tensor
+from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
+    FRAME_COLUMNS,
+    MERMIN_COLUMNS,
     SAMPLES,
+    _best_rows,
+    _derivatives,
     euler_rotations,
     maximize_mermin,
     random_euler_angles,
     rotation_from_vector,
 )
+from ghzmeter.states import haar_random_pure
 
-from conftest import random_orthogonal_frame
+from conftest import random_mixed_state, random_orthogonal_frame
 
 
 def test_frame_from_angles_orthonormal(rng):
@@ -64,6 +71,55 @@ def test_rotation_from_vector_is_rotation(rng):
     assert np.max(np.abs(np.linalg.det(r) - 1)) < 1e-15
     assert np.max(np.abs(np.einsum("nij,nj->ni", r, axes) - axes)) < 1e-15
     assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "functional, columns", [(I_of, FRAME_COLUMNS), (M3_of, MERMIN_COLUMNS)], ids=["I", "M3"]
+)
+@pytest.mark.parametrize(
+    "make_state", [lambda rng: haar_random_pure(2, rng), random_mixed_state], ids=["haar", "mixed"]
+)
+def test_chart_derivatives_match_central_differences(rng, functional, columns, make_state):
+    tensor = pauli_tensor(make_state(rng))
+    p = 1 + max(r for r, _ in columns)
+    rows, m, h = 16, 3 * p, 1e-4
+    rotations = euler_rotations(random_euler_angles(rng, (rows, p)))
+
+    def f(offset):
+        # the functional at R_r exp([offset_r]_x) of every row, the body chart
+        moved = rotations @ rotation_from_vector(offset.reshape(p, 3))
+        return functional(correlators_from_tensor(tensor, *(moved[:, r, :, c] for r, c in columns)))
+
+    centre = f(np.zeros(m))
+    # both signs, so the derivatives of |functional| flip with the value's sign
+    assert (centre < 0).any() and (centre > 0).any()
+    sign = np.sign(centre)
+    moves = h * np.eye(m)
+    grad = np.stack([f(a) - f(-a) for a in moves], axis=-1) / (2 * h)
+    hess = np.array([[f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in moves] for a in moves])
+    hess = np.moveaxis(hess, -1, 0) / (4 * h * h)
+    value, g, H = _derivatives(tensor, functional, columns, rotations)
+    assert np.max(np.abs(value - np.abs(centre))) < 1e-12
+    assert np.max(np.abs(g - sign[:, None] * grad)) < 1e-6
+    assert np.max(np.abs(H - sign[:, None, None] * hess)) < 1e-6
+
+
+@pytest.mark.parametrize("count", [1, 30, SAMPLES])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: rng.random(SAMPLES),
+        lambda rng: rng.integers(0, 5, SAMPLES).astype(float),
+        # the maximally mixed state has T = 0: every start scores 0
+        lambda rng: np.zeros(SAMPLES),
+    ],
+    ids=["random", "few-values", "all-tied"],
+)
+def test_best_rows_is_stable_argsort_prefix(rng, count, draw):
+    scores = draw(rng)
+    assert np.array_equal(_best_rows(scores, count), np.argsort(-scores, kind="stable")[:count])
+    if not scores.any():
+        assert np.array_equal(_best_rows(scores, count), np.arange(count))
 
 
 def test_random_euler_angles_in_range(rng):
