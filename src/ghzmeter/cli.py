@@ -42,16 +42,12 @@ def make_named_state(name):
 
 
 def resolve_state(args):
-    given = [
-        opt
-        for opt in ("state", "acin", "state_file")
-        if getattr(args, opt, None) is not None
-    ]
+    given = [v for v in (args.state, args.acin, args.state_file) if v is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --state, --acin, --state-file")
     if args.state is not None:
         return make_named_state(args.state)
-    if getattr(args, "acin", None) is not None:
+    if args.acin is not None:
         vals = parse_floats("--acin", args.acin, (5, 6))
         phi = vals[5] if len(vals) == 6 else 0.0
         try:
@@ -86,24 +82,23 @@ def parse_direction(flag, text):
     return unit / np.linalg.norm(unit)
 
 
-def emit(args, table_lines, rows, header):
-    """Write the requested format: human table, CSV, or JSON."""
-    fmt = getattr(args, "format", "table")
-    if fmt == "table":
+def emit(args, table_lines, rows):
+    """Write the requested format: human table, CSV, or JSON.
+
+    ``rows`` are dicts: their keys, in order, are the CSV header and the JSON keys.
+    """
+    if args.format == "table":
         text = "\n".join(table_lines) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = (
-            json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
-        )
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", newline="") as fh:
+        text = json.dumps(rows, indent=1) + "\n"
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -113,11 +108,15 @@ def fmt9(x):
     return f"{x:.9g}"
 
 
+def pair_columns(pair):
+    """Columns g1p, g1q, g2p, g2q, symplectic of a qudit generator pair."""
+    (g1p, g1q), (g2p, g2q) = pair.g1, pair.g2
+    return dict(g1p=g1p, g1q=g1q, g2p=g2p, g2q=g2q, symplectic=pair.symplectic)
+
+
 def cmd_eval(args):
     state = resolve_state(args)
-    frame = OrthoFrame(
-        parse_direction("--n1", args.n1), parse_direction("--n2", args.n2)
-    )
+    frame = OrthoFrame(parse_direction("--n1", args.n1), parse_direction("--n2", args.n2))
     e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     value = functional.I_of(e)
     lines = [
@@ -125,8 +124,7 @@ def cmd_eval(args):
         f"e1 = {fmt9(e.e1)}  e2 = {fmt9(e.e2)}  e3 = {fmt9(e.e3)}  e4 = {fmt9(e.e4)}",
         f"I  = {fmt9(value)}   |I| = {fmt9(abs(value))}",
     ]
-    rows = [[e.e1, e.e2, e.e3, e.e4, value, abs(value)]]
-    emit(args, lines, rows, ["e1", "e2", "e3", "e4", "I", "abs_I"])
+    emit(args, lines, [dict(e1=e.e1, e2=e.e2, e3=e.e3, e4=e.e4, I=value, abs_I=abs(value))])
     return 0
 
 
@@ -142,33 +140,11 @@ def cmd_optimize(args):
         f"restarts = {result.restarts} (converged {result.converged_restarts}), "
         f"seed = {result.seed}, iterations = {result.iterations_total}",
     ]
-    rows = [
-        [
-            result.best_value,
-            result.e_ghz,
-            *n1.tolist(),
-            *n2.tolist(),
-            result.restarts,
-            result.converged_restarts,
-            result.iterations_total,
-            result.seed,
-        ]
-    ]
-    header = [
-        "best_value",
-        "e_ghz",
-        "n1x",
-        "n1y",
-        "n1z",
-        "n2x",
-        "n2y",
-        "n2z",
-        "restarts",
-        "converged_restarts",
-        "iterations_total",
-        "seed",
-    ]
-    emit(args, lines, rows, header)
+    row = dict(best_value=result.best_value, e_ghz=result.e_ghz)
+    row.update(zip(("n1x", "n1y", "n1z", "n2x", "n2y", "n2z"), n1.tolist() + n2.tolist()))
+    row.update(restarts=result.restarts, converged_restarts=result.converged_restarts,
+               iterations_total=result.iterations_total, seed=result.seed)
+    emit(args, lines, [row])
     return 0
 
 
@@ -185,9 +161,9 @@ def cmd_scan_mu(args):
         rest = np.sqrt(max(0.0, 1.0 - lam0**2 - lam4**2))
         params = states.AcinParams(lam0, rest, 0.0, 0.0, lam4)
         direct = functional.eval_I(states.make_acin(params), frame)
-        rows.append([float(mu), closed, direct])
+        rows.append(dict(mu=float(mu), closed_form=closed, direct=direct))
         lines.append(f"{mu:10.6f} {closed:14.9f} {direct:14.9f}")
-    emit(args, lines, rows, ["mu", "closed_form", "direct"])
+    emit(args, lines, rows)
     return 0
 
 
@@ -197,9 +173,10 @@ def cmd_bench(args):
         result = optimize.maximize_I(
             make_named_state(name), restarts=args.restarts, seed=args.seed
         )
-        rows.append([name, result.best_value, result.e_ghz, args.restarts, args.seed])
+        rows.append(dict(state=name, sup_abs_I=result.best_value, e_ghz=result.e_ghz,
+                         restarts=args.restarts, seed=args.seed))
         lines.append(f"{name:>8} {result.best_value:12.6f} {result.e_ghz:10.6f}")
-    emit(args, lines, rows, ["state", "sup_abs_I", "e_ghz", "restarts", "seed"])
+    emit(args, lines, rows)
     return 0
 
 
@@ -221,9 +198,9 @@ def cmd_random(args):
         "sup|I| quantiles (min/q1/median/q3/max): "
         + " ".join(fmt9(q) for q in quantiles),
     ]
-    rows = [[args.samples, args.restarts, args.seed, *(float(q) for q in quantiles)]]
-    header = ["samples", "restarts", "seed", "min", "q1", "median", "q3", "max"]
-    emit(args, lines, rows, header)
+    row = dict(samples=args.samples, restarts=args.restarts, seed=args.seed)
+    row.update(zip(("min", "q1", "median", "q3", "max"), quantiles.tolist()))
+    emit(args, lines, [row])
     if values.max() >= 2.0 - 1e-3:
         print(
             f"warning: a sample reached sup|I| = {values.max()!r}, "
@@ -248,15 +225,13 @@ def cmd_qudit(args):
     if state.local_dim != d:
         raise ValueError(f"state has local_dim {state.local_dim}, expected {d}")
     if args.scan:
-        best, pair, _ = functional.scan_qudit_pairs(state, d)
+        best, pair, _ = functional.scan_qudit_pairs(state)
         lines = [
             f"d = {d}: exhaustive scan over non-commuting generator pairs",
             f"max |I_d| = {fmt9(best)} at g1 = {pair.g1}, g2 = {pair.g2} "
             f"(symplectic {pair.symplectic})",
         ]
-        rows = [[d, *pair.g1, *pair.g2, pair.symplectic, best]]
-        header = ["d", "g1p", "g1q", "g2p", "g2q", "symplectic", "max_abs_Id"]
-        emit(args, lines, rows, header)
+        emit(args, lines, [dict(d=d, **pair_columns(pair), max_abs_Id=best)])
         return 0
     try:
         g1 = tuple(int(x) for x in args.g1.split(","))
@@ -271,31 +246,9 @@ def cmd_qudit(args):
         f"I_d = {fmt9(value.real)} {value.imag:+.9g}i   |I_d| = {fmt9(abs(value))}",
         f"G1G2G3 vs omega^(2s) G4 residual = {fmt9(residual)}",
     ]
-    rows = [
-        [
-            d,
-            *pair.g1,
-            *pair.g2,
-            pair.symplectic,
-            value.real,
-            value.imag,
-            abs(value),
-            residual,
-        ]
-    ]
-    header = [
-        "d",
-        "g1p",
-        "g1q",
-        "g2p",
-        "g2q",
-        "symplectic",
-        "Id_re",
-        "Id_im",
-        "abs_Id",
-        "residual",
-    ]
-    emit(args, lines, rows, header)
+    row = dict(d=d, **pair_columns(pair))
+    row.update(Id_re=value.real, Id_im=value.imag, abs_Id=abs(value), residual=residual)
+    emit(args, lines, [row])
     return 0
 
 
@@ -361,8 +314,11 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()

@@ -111,7 +111,7 @@ def verify_identities(frame):
     for orthogonal frames; it is reported unconditionally so callers can
     probe degenerate frames too.
     """
-    c, m = frame.c, frame.m
+    c, m = frame.c, np.cross(frame.n1, frame.n2)
     s1 = spin_observable(frame.n1)
     s2 = spin_observable(frame.n2)
     o1 = kron(s1, s2, s2)

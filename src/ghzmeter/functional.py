@@ -151,13 +151,13 @@ def eval_Id(state, pair):
     )
 
 
-def scan_qudit_pairs(state, d=None):
-    """Exhaustive scan of |I_d| over all non-commuting generator pairs.
+def scan_qudit_pairs(state):
+    """Exhaustive scan of |I_d| over all non-commuting generator pairs, d = state.local_dim.
 
     Returns (best_modulus, best_pair, results) where results maps each
     :class:`QuditGenPair` with nonzero symplectic pairing to its I_d value.
     """
-    d = state.local_dim if d is None else d
+    d = state.local_dim
     results = {}
     best_pair, best = None, -1.0
     for g1 in itertools.product(range(d), repeat=2):

@@ -55,17 +55,16 @@ def spin_observable(n):
 
 @dataclass(frozen=True)
 class OrthoFrame:
-    """Ordered pair of unit measurement directions with derived scalars.
+    """Ordered pair of unit measurement directions and their inner product.
 
-    ``c`` is the inner product n1.n2 and ``m`` the cross product n1 x n2.
-    Orthogonality is *not* required: the functional is defined on any pair,
-    and ``c`` says how far a frame is from orthogonal.
+    ``c`` is the inner product n1.n2.  Orthogonality is *not* required: the
+    functional is defined on any pair, and ``c`` says how far a frame is from
+    orthogonal.
     """
 
     n1: np.ndarray
     n2: np.ndarray
     c: float = field(init=False)
-    m: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n1 = unit_vector(self.n1)
@@ -73,7 +72,6 @@ class OrthoFrame:
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "c", float(np.dot(n1, n2)))
-        object.__setattr__(self, "m", np.cross(n1, n2))
 
 
 def shift_matrix(d):

@@ -62,7 +62,7 @@ def rotation_from_vector(omega):
 
 
 def random_euler_angles(rng, n=None):
-    """ZYZ angles of rotations drawn uniformly from SO(3): shape (3,), or (n, 3)."""
+    """ZYZ angles of rotations drawn uniformly from SO(3): shape (3,), or n + (3,) for shape n."""
     alpha = rng.uniform(0.0, 2.0 * np.pi, n)
     beta = np.arccos(rng.uniform(-1.0, 1.0, n))
     gamma = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -289,14 +289,12 @@ def maximize_mermin(state, restarts=100, seed=0):
 
     Unlike :func:`maximize_I` the two directions are independent (not
     constrained to be orthogonal): each is the third column of its own
-    rotation, drawn uniformly on the sphere.  M3 is odd under
-    (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
+    rotation.  The SAMPLES start pairs come from the same Haar sampler as
+    :func:`maximize_I`, so each start direction is uniform on the sphere.
+    M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
     """
-    rng = np.random.default_rng(seed)
-    theta = np.arccos(rng.uniform(-1.0, 1.0, (2, SAMPLES)))
-    phi = rng.uniform(0.0, 2.0 * np.pi, (2, SAMPLES))
-    starts = euler_rotations(np.stack([phi, theta, np.zeros_like(phi)], axis=-1))
-    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts.swapaxes(0, 1), restarts)[0]
+    starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), (SAMPLES, 2)))
+    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts, restarts)[0]
 
 
 def w_analytic_max():

@@ -51,7 +51,7 @@ DELETED = {
     ghzmeter.functional: ["lhv_identity_holds"],
     ghzmeter.cli: ["UsageError"],
     QuantumState: ["real_expectation"],
-    OrthoFrame: ["orthogonal", "is_orthogonal"],
+    OrthoFrame: ["orthogonal", "is_orthogonal", "m"],
     AcinParams: ["tau3"],
     IdentityReport: ["max_residual"],
     ConvexityReport: ["convex_within_tolerance"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ghzmeter
+from ghzmeter import cli
 from ghzmeter.cli import main
 
 from conftest import (
@@ -271,6 +272,48 @@ def test_qudit_invalid_generators(capsys):
     assert "generator" in err
 
 
+# CSV header and JSON keys of every command, in order
+COLUMNS = {
+    "eval": (
+        ["eval", "--state", "w", "--n1", "0,0,1", "--n2", "1,0,0"],
+        ["e1", "e2", "e3", "e4", "I", "abs_I"],
+    ),
+    "optimize": (
+        ["optimize", "--state", "w", "--restarts", "2", "--seed", "0"],
+        ["best_value", "e_ghz", "n1x", "n1y", "n1z", "n2x", "n2y", "n2z",
+         "restarts", "converged_restarts", "iterations_total", "seed"],
+    ),
+    "scan-mu": (["scan-mu", "--steps", "3"], ["mu", "closed_form", "direct"]),
+    "bench": (
+        ["bench", "--restarts", "2", "--seed", "0"],
+        ["state", "sup_abs_I", "e_ghz", "restarts", "seed"],
+    ),
+    "random": (
+        ["random", "--samples", "2", "--restarts", "2", "--seed", "0"],
+        ["samples", "restarts", "seed", "min", "q1", "median", "q3", "max"],
+    ),
+    "qudit": (
+        ["qudit"],
+        ["d", "g1p", "g1q", "g2p", "g2q", "symplectic", "Id_re", "Id_im", "abs_Id", "residual"],
+    ),
+    "qudit-scan": (
+        ["qudit", "--scan"],
+        ["d", "g1p", "g1q", "g2p", "g2q", "symplectic", "max_abs_Id"],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, header", COLUMNS.values(), ids=COLUMNS)
+def test_output_columns(capsys, argv, header):
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert next(csv.reader(out.splitlines())) == header
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and all(list(row) == header for row in rows)
+
+
 def test_state_file_round_trip(capsys, tmp_path):
     from ghzmeter import make_w, save_state
 
@@ -323,6 +366,16 @@ def test_bad_env_seed(capsys, monkeypatch):
     code, _, err = run(capsys, ["optimize", "--state", "ghz", "--restarts", "1"])
     assert code == 2
     assert "GHZMETER_SEED" in err
+
+
+def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("GHZMETER_SEED", raising=False)
+    monkeypatch.setattr(cli, "build_parser", None)  # main parses with the parser built at import
+    argv = ["optimize", "--state", "ghz", "--restarts", "1", "--format", "json"]
+    _, out, _ = run(capsys, argv + ["--seed", "17"])
+    assert json.loads(out)[0]["seed"] == 17
+    _, out, _ = run(capsys, argv)
+    assert json.loads(out)[0]["seed"] == 0
 
 
 def test_import_leaves_scipy_out():

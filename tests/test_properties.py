@@ -24,7 +24,7 @@ def test_ortho_frame_is_valid_or_raises(n1, n2):
         return
     for n in (frame.n1, frame.n2):
         assert np.all(np.isfinite(n)) and abs(np.linalg.norm(n) - 1) < 1e-12
-    assert np.isfinite(frame.c) and np.all(np.isfinite(frame.m))
+    assert np.isfinite(frame.c)
 
 
 @settings(max_examples=200, deadline=None)
