@@ -119,11 +119,14 @@ def cmd_eval(args):
     frame = OrthoFrame(parse_direction("--n1", args.n1), parse_direction("--n2", args.n2))
     e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     value = functional.I_of(e)
-    lines = [
-        f"n1 = {frame.n1}  n2 = {frame.n2}  (n1.n2 = {fmt9(frame.c)})",
-        f"e1 = {fmt9(e.e1)}  e2 = {fmt9(e.e2)}  e3 = {fmt9(e.e3)}  e4 = {fmt9(e.e4)}",
-        f"I  = {fmt9(value)}   |I| = {fmt9(abs(value))}",
-    ]
+    lines = []
+    if args.format == "table":
+        # numpy's array printer costs more than the evaluation, so only the table pays for it
+        lines = [
+            f"n1 = {frame.n1}  n2 = {frame.n2}  (n1.n2 = {fmt9(frame.c)})",
+            f"e1 = {fmt9(e.e1)}  e2 = {fmt9(e.e2)}  e3 = {fmt9(e.e3)}  e4 = {fmt9(e.e4)}",
+            f"I  = {fmt9(value)}   |I| = {fmt9(abs(value))}",
+        ]
     emit(args, lines, [dict(e1=e.e1, e2=e.e2, e3=e.e3, e4=e.e4, I=value, abs_I=abs(value))])
     return 0
 

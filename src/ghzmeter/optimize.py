@@ -17,6 +17,8 @@ MAX_ITER = 200
 INITIAL_DAMPING = 1e-3
 GAIN_ATOL = 1e-15
 CONVERGENCE_ATOL = 1e-8
+# dampings that every polish pass tries at once, ascending, as multiples of a row's damping
+LADDER = np.array([1.0 / 3.0, 2.0, 12.0])
 
 # (rotation, column) of n1 and of n2 in a stack of rotations: maximize_I takes
 # the first two columns of one rotation, maximize_mermin the third column of each of two
@@ -45,20 +47,40 @@ def euler_rotations(angles):
     return np.stack([x for row in rows for x in row], axis=-1).reshape(np.shape(alpha) + (3, 3))
 
 
+def _quaternion_table():
+    """The fixed map from the products q_a q_b of a unit quaternion q = (w, v) to R - I, (16, 9).
+
+    R = I + 2 w [v]_x + 2 [v]_x^2 is the rotation of q.
+    """
+    eye = np.eye(3)
+    table = np.zeros((4, 4, 3, 3))
+    table[0, 1:] = 2.0 * LEVI_CIVITA.transpose(1, 0, 2)
+    # [v]_x^2 = v v^T - (v.v) I
+    table[1:, 1:] = 2.0 * (np.einsum("ai,bj->abij", eye, eye) - np.einsum("ab,ij->abij", eye, eye))
+    return table.reshape(16, 9)
+
+
+QUATERNION_TABLE = _quaternion_table()
+IDENTITY = np.eye(3).reshape(9)
+
+
 def rotation_from_vector(omega):
-    """exp([omega]_x), the rotation by |omega| about omega, by Rodrigues' formula.
+    """exp([omega]_x), the rotation by |omega| about omega.
 
     omega of shape (..., 3) gives rotations of shape (..., 3, 3); omega = 0
-    gives the identity exactly.
+    gives the identity exactly.  It is the rotation of the unit quaternion
+    (cos(t/2), sin(t/2) omega / t) at t = |omega|.  Its cosine and sine are
+    of one rounded half-angle, so it stays orthonormal to rounding at any t,
+    and R - I is a sum of products that vanish with omega, so a short step
+    rounds no worse than I does.
     """
     omega = np.asarray(omega, dtype=float)
-    x, y, z = np.moveaxis(omega, -1, 0)
-    zero = np.zeros_like(x)
-    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(omega.shape + (3,))
-    theta = np.linalg.norm(omega, axis=-1)[..., None, None]
-    # sin(t) / t and (1 - cos t) / t**2 = (sin(t/2) / t)**2 / 2, both finite at t = 0
-    a, b = np.sinc(theta / np.pi), 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
-    return np.eye(3) + a * k + b * (k @ k)
+    theta = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
+    half = 0.5 * theta
+    axis = omega / np.where(theta > 0.0, theta, 1.0)
+    q = np.concatenate([np.cos(half), np.sin(half) * axis], axis=-1).reshape(-1, 4)
+    products = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
+    return (products @ QUATERNION_TABLE + IDENTITY).reshape(omega.shape + (3,))
 
 
 def random_euler_angles(rng, n=None):
@@ -84,8 +106,9 @@ class OptimizationResult:
 
 
 class Jet(NamedTuple):
-    """Value (...), gradient (..., m) and Hessian (..., m, m) of functions at a point.
+    """Value (...), gradient (m, ...) and Hessian (m, m, ...) of functions at a point.
 
+    The derivative axes lead, so a value broadcasts against them.
     Differences and products follow the rules of differentiation, so
     `I_of` and `M3_of` on a :class:`CorrelatorQuad` of jets give the jet of
     I or M3.
@@ -99,15 +122,12 @@ class Jet(NamedTuple):
         return Jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __mul__(self, other):
-        a, b = self.value[..., None], other.value[..., None]
-        cross = self.grad[..., :, None] * other.grad[..., None, :]
+        a, b = self.value, other.value
+        cross = self.grad[:, None] * other.grad[None]
         return Jet(
-            self.value * other.value,
+            a * b,
             a * other.grad + b * self.grad,
-            a[..., None] * other.hess
-            + b[..., None] * self.hess
-            + cross
-            + cross.swapaxes(-1, -2),
+            a * other.hess + b * self.hess + cross + cross.swapaxes(0, 1),
         )
 
 
@@ -122,9 +142,9 @@ def _column_jet(p, rotation, column):
     m, block = 3 * p, slice(3 * rotation, 3 * rotation + 3)
     value, grad, hess = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
     value[3 * rotation + column] = 1.0
-    grad[block, block] = LEVI_CIVITA[:, :, column]
-    twice = np.einsum("jas,sb->jab", LEVI_CIVITA, LEVI_CIVITA[:, :, column])
-    hess[block, block, block] = 0.5 * (twice + twice.swapaxes(1, 2))
+    grad[block, block] = LEVI_CIVITA[:, :, column].T
+    twice = np.einsum("jas,sb->abj", LEVI_CIVITA, LEVI_CIVITA[:, :, column])
+    hess[block, block, block] = 0.5 * (twice + twice.swapaxes(0, 1))
     return Jet(value, grad, hess)
 
 
@@ -135,8 +155,8 @@ def _chart_table(columns):
     stack of p rotations.  Each direction is a jet of coordinates in C
     (:func:`_column_jet`), so each e_i = T(x, y, z) has the jet
     sum over (u, v, w) of T'[u, v, w] x_u y_v z_w.  Returns shape
-    (m**3, 4, 1 + m + m*m): per T' entry and correlator, the value, the
-    gradient and the flattened Hessian.
+    (4, 1 + m + m*m, m**3): per correlator, the value, the gradient and the
+    flattened Hessian as rows over the T' entries.
     """
     p = 1 + max(r for r, _ in columns)
     m = 3 * p
@@ -145,13 +165,13 @@ def _chart_table(columns):
     def along(jet, axis):
         shape = [1, 1, 1]
         shape[axis] = m
-        return Jet(*(x.reshape(shape + list(x.shape[1:])) for x in jet))
+        return Jet(*(x.reshape(x.shape[:-1] + tuple(shape)) for x in jet))
 
     table = []
     for slots in SLOTS:
         e = along(jets[slots[0]], 0) * along(jets[slots[1]], 1) * along(jets[slots[2]], 2)
-        table.append(np.concatenate([x.reshape(m**3, -1) for x in e], axis=1))
-    return np.stack(table, axis=1)
+        table.append(np.concatenate([x.reshape(-1, m**3) for x in e]))
+    return np.stack(table)
 
 
 CHART_TABLES = {columns: _chart_table(columns) for columns in (FRAME_COLUMNS, MERMIN_COLUMNS)}
@@ -172,17 +192,17 @@ def _derivatives(tensor, functional, columns, rotations):
     """
     k, p = rotations.shape[:2]
     m = 3 * p
-    table = CHART_TABLES[columns]
     c = rotations.transpose(0, 2, 1, 3).reshape(k, 3, m)
     ct = c.swapaxes(1, 2)
     t = tensor.reshape(9, 3) @ c  # T(e_i, e_j, C_w)
     t = ct[:, None] @ t.reshape(k, 3, 3, m)  # T(e_i, C_v, C_w)
     t = ct @ t.reshape(k, 3, m * m)  # T(C_u, C_v, C_w)
-    jets = (t.reshape(k, m**3) @ table.reshape(m**3, -1)).reshape(k, 4, -1).swapaxes(0, 1)
-    quad = (Jet(j[:, 0], j[:, 1 : m + 1], j[:, m + 1 :].reshape(k, m, m)) for j in jets)
+    table = CHART_TABLES[columns]
+    jets = (table.reshape(-1, m**3) @ t.reshape(k, m**3).T).reshape(4, -1, k)
+    quad = (Jet(j[0], j[1 : m + 1], j[m + 1 :].reshape(m, m, k)) for j in jets)
     f = functional(CorrelatorQuad(*quad))
     sign = np.sign(f.value)
-    return sign * f.value, sign[:, None] * f.grad, sign[:, None, None] * f.hess
+    return sign * f.value, (sign * f.grad).T, (sign * f.hess).transpose(2, 0, 1)
 
 
 def _polish(tensor, functional, columns, rotations):
@@ -190,12 +210,16 @@ def _polish(tensor, functional, columns, rotations):
 
     Each row is a stack of p rotations, shape (p, 3, 3), moved in the body
     chart R exp([w]_x) around itself, re-centred after every accepted step.
-    The gradient and Hessian in the 3p chart coordinates are exact, from
-    :func:`_derivatives`.  A step solves
-    (-H + (max(0, -lambda_min(-H)) + damp) I) s = g; damp shrinks by 3 after
-    a gain and grows by 4 after a loss, and a row retires once the gain its
-    quadratic model predicts is below GAIN_ATOL.  Returns the final
-    rotations, their values and the summed iterations of all rows.
+    The gradient g and Hessian H in the 3p chart coordinates are exact, from
+    :func:`_derivatives`.  A pass takes one eigendecomposition of every
+    active row's H, and from it the steps (shift I - H) s = g at each damping
+    of the row's ladder damp * LADDER, with shift = max(0, lambda_max(H)) +
+    damping (:func:`_ladder_steps`).  The trials of all rows are evaluated
+    together.  A row moves to its best trial if that gains, and damp becomes
+    a third of that trial's damping; if no trial gains, damp becomes four
+    times the largest.  A row retires once the largest gain its quadratic
+    model predicts is at most GAIN_ATOL.  Returns the final rotations, their
+    values and the row-passes, the number of passes summed over the rows.
     """
     rotations = rotations.copy()
     k, p = rotations.shape[:2]
@@ -203,23 +227,44 @@ def _polish(tensor, functional, columns, rotations):
     damp = np.full(k, INITIAL_DAMPING)
     active, iterations = np.arange(k), 0
     for _ in range(MAX_ITER):
-        g, h = grad[active], hess[active]
-        shift = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0) + damp[active]
-        step = np.linalg.solve(shift[:, None, None] * np.eye(3 * p) - h, g[..., None])[..., 0]
-        model = np.einsum("ki,ki->k", g, step) + 0.5 * np.einsum("ki,kij,kj->k", step, h, step)
-        keep = model > GAIN_ATOL
-        active, step = active[keep], step[keep]
+        lam, vec = np.linalg.eigh(hess[active])
+        ladder = damp[active, None] * LADDER
+        eigen_steps, model = _ladder_steps((grad[active, None] @ vec)[:, 0], lam, ladder)
+        # the least damped step has the largest model gain
+        keep = model[:, 0] > GAIN_ATOL
+        active, ladder = active[keep], ladder[keep]
         if not active.size:
             break
-        trial = rotations[active] @ rotation_from_vector(step.reshape(-1, p, 3))
-        t_values, t_grad, t_hess = _derivatives(tensor, functional, columns, trial)
-        gain = t_values > values[active]
-        moved = active[gain]
-        rotations[moved], values[moved] = trial[gain], t_values[gain]
-        grad[moved], hess[moved] = t_grad[gain], t_hess[gain]
-        damp[active] *= np.where(gain, 1.0 / 3.0, 4.0)
+        steps = eigen_steps[keep] @ vec[keep].swapaxes(1, 2)
+        moves = rotation_from_vector(steps.reshape(ladder.shape + (p, 3)))
+        trials = (rotations[active, None] @ moves).reshape(-1, p, 3, 3)
+        t_values, t_grad, t_hess = _derivatives(tensor, functional, columns, trials)
+        # each row's best trial, as an index into the (row, level) trials
+        best = np.argmax(t_values.reshape(ladder.shape), axis=1)
+        best += np.arange(0, len(trials), len(LADDER))
+        gain = t_values[best] > values[active]
+        damp[active] = np.where(gain, ladder.reshape(-1)[best] / 3.0, ladder[:, -1] * 4.0)
+        moved, best = active[gain], best[gain]
+        rotations[moved], values[moved] = trials[best], t_values[best]
+        grad[moved], hess[moved] = t_grad[best], t_hess[best]
         iterations += active.size
     return rotations, values, iterations
+
+
+def _ladder_steps(g, lam, ladder):
+    """Damped steps and their model gains at every damping of a ladder, in the Hessian's eigenbasis.
+
+    lam (k, m) holds the ascending eigenvalues of the Hessians H, g (k, m)
+    the gradients in their eigenbases and ladder (k, L) the dampings.  With
+    shift = max(0, lam_max) + damping, shift I - H is positive definite, and
+    the step s = (shift I - H)^-1 g has coordinates g / (shift - lam).  Its
+    model gain g.s + s.H.s / 2 is a sum over the eigenbasis, and it falls as
+    the damping grows.  Returns the steps (k, L, m) and model gains (k, L).
+    """
+    shift = np.maximum(lam[:, -1:], 0.0) + ladder
+    steps = g[:, None] / (shift[..., None] - lam[:, None])
+    model = (steps * (g[:, None] + 0.5 * lam[:, None] * steps)).sum(axis=-1)
+    return steps, model
 
 
 def _best_rows(scores, count):

@@ -20,10 +20,12 @@ from ghzmeter.correlators import correlators_from_tensor, pauli_tensor
 from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
     FRAME_COLUMNS,
+    LADDER,
     MERMIN_COLUMNS,
     SAMPLES,
     _best_rows,
     _derivatives,
+    _ladder_steps,
     euler_rotations,
     maximize_mermin,
     random_euler_angles,
@@ -63,14 +65,43 @@ def test_euler_frame_batch_matches_scalar(rng):
 
 
 def test_rotation_from_vector_is_rotation(rng):
-    axes = rng.standard_normal((200, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    # angles up to 1 rad: the search moves the chart by far smaller steps
-    r = rotation_from_vector(rng.uniform(-1, 1, (200, 1)) * axes)
-    assert np.max(np.abs(r @ r.swapaxes(1, 2) - np.eye(3))) < 1e-15
-    assert np.max(np.abs(np.linalg.det(r) - 1)) < 1e-15
-    assert np.max(np.abs(np.einsum("nij,nj->ni", r, axes) - axes)) < 1e-15
+    # the polish tries steps of up to 3e4 rad: 7% of its trial steps on the
+    # sup-survey states of seeds 1-3 exceed 1 rad and 4% exceed pi.  Each
+    # entry of R - I is a sum of up to four products of unit-quaternion
+    # components, each a few eps off, so at long angles RR^T - I, det R - 1
+    # and R a - a stay within 16 eps
+    eps = np.finfo(float).eps
+    for largest, atol in ((1.0, 1e-15), (1e5, 16 * eps)):
+        axes = rng.standard_normal((200, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        r = rotation_from_vector(rng.uniform(-largest, largest, (200, 1)) * axes)
+        assert np.max(np.abs(r @ r.swapaxes(1, 2) - np.eye(3))) < atol
+        assert np.max(np.abs(np.linalg.det(r) - 1)) < atol
+        assert np.max(np.abs(np.einsum("nij,nj->ni", r, axes) - axes)) < atol
     assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_ladder_steps_solve_the_damped_systems(rng, p):
+    m, k = 3 * p, 60
+    a = rng.standard_normal((k, m, m))
+    # indefinite, negative definite (a maximum) and positive definite Hessians
+    hess = np.concatenate([a[:20] + a[:20].swapaxes(1, 2), -a[20:40] @ a[20:40].swapaxes(1, 2),
+                           a[40:] @ a[40:].swapaxes(1, 2)])
+    grad = rng.standard_normal((k, m))
+    # solve's own rounding grows with the condition number of shift I - H, a few hundred here
+    ladder = 10.0 ** rng.uniform(-0.5, 1.0, (k, 1)) * LADDER
+    lam, vec = np.linalg.eigh(hess)
+    steps, model = _ladder_steps((grad[:, None] @ vec)[:, 0], lam, ladder)
+    for level in range(len(LADDER)):
+        shift = np.maximum(lam[:, -1], 0.0) + ladder[:, level]
+        want = np.linalg.solve(shift[:, None, None] * np.eye(m) - hess, grad[..., None])[..., 0]
+        step = (vec @ steps[:, level, :, None])[..., 0]
+        assert np.all(np.linalg.norm(step - want, axis=1) < 1e-12 * np.linalg.norm(want, axis=1))
+        gain = np.sum(grad * step, axis=1) + 0.5 * np.einsum("ki,kij,kj->k", step, hess, step)
+        assert np.all(np.abs(model[:, level] - gain) < 1e-12 * np.abs(gain))
+    # the polish retires a row by the gain of its least damped step, the largest
+    assert np.all(np.diff(model, axis=1) < 0)
 
 
 @pytest.mark.parametrize(

@@ -34,12 +34,14 @@ def test_ortho_frame_is_valid_or_raises(n1, n2):
     mixed=st.booleans(),
 )
 def test_quantum_state_is_valid_or_raises(local_dim, entries, mixed):
-    amplitudes = np.array(entries[:8]) + 1j * np.array(entries[8:])
-    if mixed:
-        # Hermitian by construction whenever finite, so trace and spectrum get exercised
-        data = {"density": np.outer(amplitudes, amplitudes.conj())}
-    else:
-        data = {"vector": amplitudes}
+    # building the input may overflow or meet 1j * inf; QuantumState must then reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = np.array(entries[:8]) + 1j * np.array(entries[8:])
+        if mixed:
+            # Hermitian by construction whenever finite, so trace and spectrum get exercised
+            data = {"density": np.outer(amplitudes, amplitudes.conj())}
+        else:
+            data = {"vector": amplitudes}
     try:
         state = QuantumState(local_dim, **data)
     except StateError:
