@@ -12,7 +12,9 @@ from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
 
 DEFAULT_RESTARTS = 300
-SAMPLES = 4096
+# cells per axis of the Rodrigues cube whose centres are maximize_I's fixed starts
+GRID_CELLS = 16
+SAMPLES = GRID_CELLS**3
 MAX_ITER = 200
 INITIAL_DAMPING = 1e-3
 GAIN_ATOL = 1e-15
@@ -27,24 +29,6 @@ MERMIN_COLUMNS = ((0, 2), (1, 2))
 
 # (w x e_c)_j = LEVI_CIVITA[j, l, c] w_l
 LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
-
-
-def euler_rotations(angles):
-    """Rotations Rz(alpha) @ Ry(beta) @ Rz(gamma) of angle rows (..., 3), as (..., 3, 3).
-
-    Closed form, elementwise in the angles.  The third column is the
-    direction at polar angle beta and azimuth alpha.
-    """
-    alpha, beta, gamma = np.moveaxis(angles, -1, 0)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    rows = [
-        [ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
-        [sa * cb * cg + ca * sg, ca * cg - sa * cb * sg, sa * sb],
-        [-sb * cg, sb * sg, cb],
-    ]
-    return np.stack([x for row in rows for x in row], axis=-1).reshape(np.shape(alpha) + (3, 3))
 
 
 def _quaternion_table():
@@ -64,6 +48,15 @@ QUATERNION_TABLE = _quaternion_table()
 IDENTITY = np.eye(3).reshape(9)
 
 
+def rotation_from_quaternion(q):
+    """Rotations R = I + 2 w [v]_x + 2 [v]_x^2 of unit quaternions q = (w, v), shape (..., 4)."""
+    products = (q[..., :, None] * q[..., None, :]).reshape(-1, 16)
+    # in place: at import the grid's temporaries set the process's peak memory
+    rotations = products @ QUATERNION_TABLE
+    rotations += IDENTITY
+    return rotations.reshape(q.shape[:-1] + (3, 3))
+
+
 def rotation_from_vector(omega):
     """exp([omega]_x), the rotation by |omega| about omega.
 
@@ -78,17 +71,41 @@ def rotation_from_vector(omega):
     theta = np.sqrt((omega * omega).sum(axis=-1, keepdims=True))
     half = 0.5 * theta
     axis = omega / np.where(theta > 0.0, theta, 1.0)
-    q = np.concatenate([np.cos(half), np.sin(half) * axis], axis=-1).reshape(-1, 4)
-    products = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
-    return (products @ QUATERNION_TABLE + IDENTITY).reshape(omega.shape + (3,))
+    return rotation_from_quaternion(np.concatenate([np.cos(half), np.sin(half) * axis], axis=-1))
 
 
-def random_euler_angles(rng, n=None):
-    """ZYZ angles of rotations drawn uniformly from SO(3): shape (3,), or n + (3,) for shape n."""
-    alpha = rng.uniform(0.0, 2.0 * np.pi, n)
-    beta = np.arccos(rng.uniform(-1.0, 1.0, n))
-    gamma = rng.uniform(0.0, 2.0 * np.pi, n)
-    return np.stack([alpha, beta, gamma], axis=-1)
+def haar_rotations(rng, shape=()):
+    """Rotations drawn uniformly from SO(3), of shape `shape` + (3, 3).
+
+    A normalised Gaussian quaternion is uniform on S^3, the double cover of
+    SO(3), so its rotation is Haar-distributed.
+    """
+    q = rng.standard_normal(tuple(shape) + (4,))
+    return rotation_from_quaternion(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
+def _start_grid(cells):
+    """Rotations of the cells**3 cell centres r of the Rodrigues cube [-1, 1]^3, (cells**3, 3, 3).
+
+    |I| is unchanged by R -> R diag(+-1, +-1, +-1) with det +1, so frames
+    need only be searched on SO(3)/D2.  In Rodrigues vectors r = v / w of
+    the quaternion q = (w, v), its fundamental zone is this cube (Frank
+    1988, "Orientation mapping", Metall. Trans. A 19); r is the rotation of
+    q = (1, r) / |(1, r)|.
+    """
+    centres = (np.arange(cells) + 0.5) * (2.0 / cells) - 1.0
+    r = np.stack(np.meshgrid(centres, centres, centres, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = np.concatenate([np.ones((len(r), 1)), r], axis=1)
+    return rotation_from_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
+
+
+START_GRID = _start_grid(GRID_CELLS)
+
+
+def _rotated(tensor, rotation):
+    """T(R., R., R.), the tensor whose e1..e4 at (n1, n2) are those of T at (R n1, R n2)."""
+    t = rotation.T @ (tensor @ rotation)  # T(e_i, R e_b, R e_c)
+    return (rotation.T @ t.reshape(3, 9)).reshape(3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -304,19 +321,26 @@ def _search(tensor, functional, columns, starts, restarts):
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     """Multistart maximization of |I| over orthonormal frames.
 
-    SAMPLES Haar-random rotations R are scored at once, with (n1, n2) the
-    first two columns of R, and the best `restarts` of them (1 <= restarts
-    <= SAMPLES) are polished together on SO(3), so every visited frame is
-    orthonormal.  Deterministic for a fixed (state, restarts, seed).
+    The seed draws one Haar-random rotation R0, and the search runs on the
+    rotated tensor T(R0., R0., R0.), whose |I| at (n1, n2) is the state's at
+    (R0 n1, R0 n2).  Its SAMPLES starts are the fixed rotations of
+    START_GRID, which cover SO(3)/D2, with (n1, n2) the first two columns
+    of each.  All are scored at once, and the best `restarts` of them
+    (1 <= restarts <= SAMPLES) are polished together on SO(3), so every
+    visited frame is orthonormal.  The frame returned is (R0 n1, R0 n2),
+    and `best_value` is |I| evaluated once at that frame, so it equals
+    abs(eval_I(state, best_frame)).  Deterministic for a fixed (state,
+    restarts, seed).
     """
     tensor = pauli_tensor(state)
-    starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), SAMPLES))
-    value, directions, iterations, converged = _search(
-        tensor, I_of, FRAME_COLUMNS, starts[:, None], restarts
+    rotation = haar_rotations(np.random.default_rng(seed))
+    _, directions, iterations, converged = _search(
+        _rotated(tensor, rotation), I_of, FRAME_COLUMNS, START_GRID[:, None], restarts
     )
+    frame = OrthoFrame(*(rotation @ d for d in directions))
     return OptimizationResult(
-        best_value=value,
-        best_frame=OrthoFrame(*directions),
+        best_value=float(abs(I_of(correlators_from_tensor(tensor, frame.n1, frame.n2)))),
+        best_frame=frame,
         restarts=restarts,
         seed=seed,
         iterations_total=iterations,
@@ -334,11 +358,12 @@ def maximize_mermin(state, restarts=100, seed=0):
 
     Unlike :func:`maximize_I` the two directions are independent (not
     constrained to be orthogonal): each is the third column of its own
-    rotation.  The SAMPLES start pairs come from the same Haar sampler as
-    :func:`maximize_I`, so each start direction is uniform on the sphere.
-    M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is max |M3|.
+    rotation.  The SAMPLES start pairs are seeded Haar-random rotations
+    (:func:`haar_rotations`), so each start direction is uniform on the
+    sphere.  M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is
+    max |M3|.
     """
-    starts = euler_rotations(random_euler_angles(np.random.default_rng(seed), (SAMPLES, 2)))
+    starts = haar_rotations(np.random.default_rng(seed), (SAMPLES, 2))
     return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts, restarts)[0]
 
 

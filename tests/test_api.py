@@ -47,7 +47,15 @@ def test_every_private_definition_is_used():
 DELETED = {
     ghzmeter: ["frame_from_angles", "triple_observable", "is_hermitian", "is_unitary"],
     ghzmeter.linalg: ["triple_observable", "is_hermitian", "is_unitary", "X_HAT", "Y_HAT", "Z_HAT"],
-    ghzmeter.optimize: ["frame_from_angles", "euler_frame", "_stencil", "STENCILS", "STENCIL_STEP"],
+    ghzmeter.optimize: [
+        "frame_from_angles",
+        "euler_frame",
+        "euler_rotations",
+        "random_euler_angles",
+        "_stencil",
+        "STENCILS",
+        "STENCIL_STEP",
+    ],
     ghzmeter.functional: ["lhv_identity_holds"],
     ghzmeter.cli: ["UsageError"],
     QuantumState: ["real_expectation"],

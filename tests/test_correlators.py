@@ -14,7 +14,7 @@ from ghzmeter import (
     verify_identities,
 )
 from ghzmeter.linalg import SIGMA_X, max_norm
-from ghzmeter.optimize import euler_rotations, random_euler_angles, rotation_from_vector
+from ghzmeter.optimize import START_GRID, haar_rotations, rotation_from_vector
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
@@ -130,9 +130,8 @@ def assert_matches_operators(state, n1, n2):
 
 
 def test_correlators_score_batch_matches_operators(rng):
-    # as many rows as the starts maximize_I scores in one call
-    r = euler_rotations(random_euler_angles(rng, 4096))
-    assert_matches_operators(random_mixed_state(rng), r[..., :, 0], r[..., :, 1])
+    # the starts maximize_I scores in one call
+    assert_matches_operators(random_mixed_state(rng), START_GRID[..., 0], START_GRID[..., 1])
 
 
 def test_correlators_stencil_batches_match_operators(rng):
@@ -141,7 +140,7 @@ def test_correlators_stencil_batches_match_operators(rng):
     state = random_mixed_state(rng)
     for p, m, columns in ((1, 19, ((0, 0), (0, 1))), (2, 73, ((0, 2), (1, 2)))):
         moves = rotation_from_vector(1e-4 * rng.standard_normal((m, p, 3)))
-        r = moves @ euler_rotations(random_euler_angles(rng, (8, p)))[:, None]
+        r = moves @ haar_rotations(rng, (8, p))[:, None]
         assert r.shape == (8, m, p, 3, 3)
         assert_matches_operators(state, *(r[..., i, :, c] for i, c in columns))
 

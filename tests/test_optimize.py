@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from ghzmeter import (
     OrthoFrame,
@@ -20,48 +21,22 @@ from ghzmeter.correlators import correlators_from_tensor, pauli_tensor
 from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
     FRAME_COLUMNS,
+    GRID_CELLS,
     LADDER,
     MERMIN_COLUMNS,
     SAMPLES,
+    START_GRID,
     _best_rows,
     _derivatives,
     _ladder_steps,
-    euler_rotations,
+    _rotated,
+    haar_rotations,
     maximize_mermin,
-    random_euler_angles,
     rotation_from_vector,
 )
 from ghzmeter.states import haar_random_pure
 
 from conftest import random_mixed_state, random_orthogonal_frame
-
-
-def test_frame_from_angles_orthonormal(rng):
-    for _ in range(100):
-        r = euler_rotations(rng.uniform(-10, 10, 3))
-        assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
-        assert abs(np.linalg.det(r) - 1) < 1e-12
-
-
-def test_euler_frame_is_rotation(rng):
-    for alpha, beta, gamma in rng.uniform(0, 2 * np.pi, (20, 3)):
-        ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
-        cg, sg = np.cos(gamma), np.sin(gamma)
-        rz_a = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-        ry_b = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-        rz_g = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-        r = rz_a @ ry_b @ rz_g
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert abs(np.linalg.det(r) - 1) < 1e-12
-        assert np.max(np.abs(euler_rotations(np.array([alpha, beta, gamma])) - r)) < 1e-15
-
-
-def test_euler_frame_batch_matches_scalar(rng):
-    angles = random_euler_angles(rng, 200)
-    batch = euler_rotations(angles)
-    assert batch.shape == (200, 3, 3)
-    for row, r in zip(angles, batch):
-        assert np.array_equal(euler_rotations(row), r)
 
 
 def test_rotation_from_vector_is_rotation(rng):
@@ -79,6 +54,65 @@ def test_rotation_from_vector_is_rotation(rng):
         assert np.max(np.abs(np.linalg.det(r) - 1)) < atol
         assert np.max(np.abs(np.einsum("nij,nj->ni", r, axes) - axes)) < atol
     assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
+
+
+def assert_rotations(r, atol):
+    assert np.max(np.abs(r @ r.swapaxes(-1, -2) - np.eye(3))) < atol
+    assert np.max(np.abs(np.linalg.det(r) - 1)) < atol
+
+
+@pytest.mark.parametrize("shape", [(), (50, 2)])
+def test_haar_rotations_are_rotations(rng, shape):
+    r = haar_rotations(rng, shape)
+    assert r.shape == shape + (3, 3)
+    # a normalised quaternion's |q| is a few eps off 1, and R R^T = |q|^4 I
+    assert_rotations(r, 16 * np.finfo(float).eps)
+
+
+# the rotations R diag(+-1, +-1, +-1) with det +1 that leave |I| unchanged
+D2 = Rotation.from_matrix(
+    [np.eye(3), np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]
+)
+
+
+def rodrigues(rotations):
+    """Rodrigues vectors r = v / w of rotations' quaternions (w, v)."""
+    q = rotations.as_quat()  # scalar last
+    return q[..., :3] / q[..., 3:]
+
+
+def test_start_grid_holds_the_rodrigues_cube_cells():
+    assert START_GRID.shape == (SAMPLES, 3, 3)
+    assert_rotations(START_GRID, 1e-15)
+    # each rotation's Rodrigues vector is a distinct cell centre of the cube [-1, 1]^3
+    cells = (rodrigues(Rotation.from_matrix(START_GRID)) + 1) * GRID_CELLS / 2 - 0.5
+    assert np.max(np.abs(cells - np.round(cells))) < 1e-12
+    assert len(np.unique(np.round(cells), axis=0)) == SAMPLES
+    assert cells.min() > -0.5 and cells.max() < GRID_CELLS - 0.5
+
+
+def test_rodrigues_cube_covers_rotations_up_to_d2(rng):
+    rotations = Rotation.random(20000, rng=rng)
+    nearest = np.min([np.max(np.abs(rodrigues(rotations * d)), axis=1) for d in D2], axis=0)
+    assert np.max(nearest) <= 1.0
+
+
+def test_abs_I_is_invariant_under_d2(rng):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    r = haar_rotations(rng, (100,))
+    frames = [np.moveaxis((r @ d.as_matrix())[..., :2], -1, 0) for d in D2]
+    values = [np.abs(I_of(correlators_from_tensor(tensor, *frame))) for frame in frames]
+    assert np.max(np.abs(np.diff(values, axis=0))) < 1e-15
+
+
+def test_rotated_tensor_moves_the_frame(rng):
+    # I at (n1, n2) of T(R0., R0., R0.) is I at (R0 n1, R0 n2) of T
+    tensor = pauli_tensor(random_mixed_state(rng))
+    rotation = haar_rotations(rng)
+    n1, n2 = np.moveaxis(haar_rotations(rng, (100,))[..., :2], -1, 0)
+    moved = I_of(correlators_from_tensor(_rotated(tensor, rotation), n1, n2))
+    direct = I_of(correlators_from_tensor(tensor, n1 @ rotation.T, n2 @ rotation.T))
+    assert np.max(np.abs(moved - direct)) < 1e-15
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -114,7 +148,7 @@ def test_chart_derivatives_match_central_differences(rng, functional, columns, m
     tensor = pauli_tensor(make_state(rng))
     p = 1 + max(r for r, _ in columns)
     rows, m, h = 16, 3 * p, 1e-4
-    rotations = euler_rotations(random_euler_angles(rng, (rows, p)))
+    rotations = haar_rotations(rng, (rows, p))
 
     def f(offset):
         # the functional at R_r exp([offset_r]_x) of every row, the body chart
@@ -151,12 +185,6 @@ def test_best_rows_is_stable_argsort_prefix(rng, count, draw):
     assert np.array_equal(_best_rows(scores, count), np.argsort(-scores, kind="stable")[:count])
     if not scores.any():
         assert np.array_equal(_best_rows(scores, count), np.arange(count))
-
-
-def test_random_euler_angles_in_range(rng):
-    for _ in range(100):
-        a, b, g = random_euler_angles(rng)
-        assert 0 <= a < 2 * np.pi and 0 <= b <= np.pi and 0 <= g < 2 * np.pi
 
 
 def test_maximize_ghz():
@@ -269,6 +297,14 @@ def test_monotone_in_restarts():
 def test_argmax_consistency():
     result = maximize_I(make_w(), restarts=30, seed=2)
     assert abs(abs(eval_I(make_w(), result.best_frame)) - result.best_value) < 1e-9
+
+
+def test_best_value_is_abs_I_at_best_frame():
+    # the polish's own value of its best row can round a few ulp above |I| at that frame
+    for seed in range(50):
+        state = haar_random_pure(2, np.random.default_rng(seed))
+        result = maximize_I(state, restarts=30, seed=seed)
+        assert result.best_value == abs(eval_I(state, result.best_frame))
 
 
 def test_lower_bound_certificates(rng):
