@@ -186,6 +186,7 @@ def cmd_bench(args):
 def cmd_random(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    optimize.check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     values = []
     for _ in range(args.samples):
@@ -326,8 +327,8 @@ def main(argv=None):
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()
         return args.func(args)
-    except (ValueError, OSError) as exc:  # OSError: --output cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # OSError: --output cannot be written
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -19,10 +19,6 @@ PAULI_STRINGS = np.einsum(
 ).reshape(27, 64)
 
 
-# t_ijk a_i b_j c_k over any leading axes of the three directions
-CONTRACT = "ijk,...i,...j,...k->..."
-
-
 # which of (n1, n2) fills each slot of T: e1 = T(n1, n2, n2), e2 = T(n2, n1, n2),
 # e3 = T(n2, n2, n1) and e4 = T(n1, n1, n1)
 SLOTS = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0))
@@ -57,23 +53,29 @@ def _dot3(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+def tensor_at_columns(tensor, c):
+    """T(C_u, C_v, C_w) for the m columns C of `c` (..., 3, m), shape (..., m, m, m)."""
+    lead, m = c.shape[:-2], c.shape[-1]
+    ct = np.swapaxes(c, -1, -2)
+    t = tensor.reshape(9, 3) @ c  # T(e_i, e_j, C_w)
+    t = ct[..., None, :, :] @ t.reshape(lead + (3, 3, m))  # T(e_i, C_v, C_w)
+    t = ct @ t.reshape(lead + (3, m * m))  # T(C_u, C_v, C_w)
+    return t.reshape(lead + (m, m, m))
+
+
 def correlators_from_tensor(tensor, n1, n2):
     """(e1..e4) by contracting the Pauli tensor with the two directions.
 
-    Directions of shape (..., 3) give e1..e4 of shape (...), one entry per
-    pair of rows; two 3-vectors give numpy float scalars.
-
-    Two 3-vectors take one einsum per correlator.  Arrays of rows take one
-    BLAS product T(., ., d) for every column d of D = [n1 | n2], then
-    contract the middle slot and the first by multiply-adds along the rows,
-    with temporaries linear in the number of rows.
+    Two 3-vectors give numpy float scalars, read off at SLOTS from
+    :func:`tensor_at_columns` of C = [n1 | n2].  Directions of shape (..., 3)
+    give e1..e4 of shape (...), one entry per pair of rows, by one BLAS
+    product T(., ., d) for every column d of D = [n1 | n2] and multiply-adds
+    along the rows that contract the middle slot and the first; temporaries
+    stay linear in the number of rows.
     """
     if np.ndim(n1) == np.ndim(n2) == 1:
-        e1 = np.einsum(CONTRACT, tensor, n1, n2, n2)
-        e2 = np.einsum(CONTRACT, tensor, n2, n1, n2)
-        e3 = np.einsum(CONTRACT, tensor, n2, n2, n1)
-        e4 = np.einsum(CONTRACT, tensor, n1, n1, n1)
-        return CorrelatorQuad(e1, e2, e3, e4)
+        t = tensor_at_columns(tensor, np.array((n1, n2)).T)
+        return CorrelatorQuad(*(t[slots] for slots in SLOTS))
     n1, n2 = np.broadcast_arrays(n1, n2)
     shape = n1.shape[:-1]
     rows = math.prod(shape)

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
+from .correlators import tensor_at_columns
 from .functional import I_of, M3_of, w_reduced_I
 from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, haar_random_unitary
@@ -100,12 +101,8 @@ def _start_grid(cells):
 
 
 START_GRID = _start_grid(GRID_CELLS)
-
-
-def _rotated(tensor, rotation):
-    """T(R., R., R.), the tensor whose e1..e4 at (n1, n2) are those of T at (R n1, R n2)."""
-    t = rotation.T @ (tensor @ rotation)  # T(e_i, R e_b, R e_c)
-    return (rotation.T @ t.reshape(3, 9)).reshape(3, 3, 3)
+# a shuffle: pairing each cell r with -r left M3 0.13 short at 60 restarts on some states
+PAIRING = np.random.default_rng(0).permutation(SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -203,17 +200,13 @@ def _derivatives(tensor, functional, columns, rotations):
     """Value, gradient and Hessian of |functional| at every row of `rotations`, shape (k, p, 3, 3).
 
     Derivatives are taken in the 3p coordinates of the body chart
-    R_r exp([w_r]_x).  Three batched products give T' of every row, and one
+    R_r exp([w_r]_x).  :func:`tensor_at_columns` gives T' of every row, and one
     product with the chart table gives the jets of e1..e4, which the
     functional combines.  The value's sign makes them those of |functional|.
     """
     k, p = rotations.shape[:2]
     m = 3 * p
-    c = rotations.transpose(0, 2, 1, 3).reshape(k, 3, m)
-    ct = c.swapaxes(1, 2)
-    t = tensor.reshape(9, 3) @ c  # T(e_i, e_j, C_w)
-    t = ct[:, None] @ t.reshape(k, 3, 3, m)  # T(e_i, C_v, C_w)
-    t = ct @ t.reshape(k, 3, m * m)  # T(C_u, C_v, C_w)
+    t = tensor_at_columns(tensor, rotations.transpose(0, 2, 1, 3).reshape(k, 3, m))
     table = CHART_TABLES[columns]
     jets = (table.reshape(-1, m**3) @ t.reshape(k, m**3).T).reshape(4, -1, k)
     quad = (Jet(j[0], j[1 : m + 1], j[m + 1 :].reshape(m, m, k)) for j in jets)
@@ -296,51 +289,53 @@ def _best_rows(scores, count):
     return rows[np.argsort(lower[rows], kind="stable")][:count]
 
 
-def _search(tensor, functional, columns, starts, restarts):
-    """Maximize |functional(e1..e4)| over stacks of rotations.
+def check_seed(seed):
+    """Raise ValueError unless `seed` is a non-negative integer."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
-    `starts` has shape (n, p, 3, 3), and `columns` names the (rotation,
-    column) of n1 and of n2 in a stack.  All starts are scored in one
-    batched contraction, then the best `restarts` of them are polished
-    together by :func:`_polish`.  Ties keep index order, so more restarts
-    only add rows.  Returns the best value, its directions (n1, n2), the
-    summed polish iterations and the number of rows that ended within
-    CONVERGENCE_ATOL of the best.
+
+def _search(tensor, functional, columns, starts, restarts, seed):
+    """Seeded maximization of |functional(e1..e4)| over stacks of rotations (n, p, 3, 3).
+
+    `columns` names the (rotation, column) of n1 and of n2 in a stack.  The
+    seed draws one Haar rotation R0; all starts are scored at once on
+    T(R0., R0., R0.), whose e1..e4 at (n1, n2) are T's at (R0 n1, R0 n2), and
+    the best `restarts` are polished together by :func:`_polish`.  Ties keep
+    index order, so more restarts only add rows.  Returns |functional| at the
+    best directions turned back by R0, those directions (n1, n2), the summed
+    polish iterations and the rows that ended within CONVERGENCE_ATOL of it.
     """
+    check_seed(seed)
     if not (isinstance(restarts, Integral) and 1 <= restarts <= len(starts)):
         raise ValueError(f"restarts must be an integer in [1, {len(starts)}], got {restarts!r}")
-    scores = np.abs(functional(correlators_from_tensor(tensor, *_directions(starts, columns))))
+    r0 = haar_rotations(np.random.default_rng(seed))
+    rotated = tensor_at_columns(tensor, r0)
+    scores = np.abs(functional(correlators_from_tensor(rotated, *_directions(starts, columns))))
     rotations, values, iterations = _polish(
-        tensor, functional, columns, starts[_best_rows(scores, restarts)]
+        rotated, functional, columns, starts[_best_rows(scores, restarts)]
     )
     best = int(np.argmax(values))
     converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
-    return float(values[best]), _directions(rotations[best], columns), iterations, converged
+    directions = tuple(r0 @ d for d in _directions(rotations[best], columns))
+    value = float(abs(functional(correlators_from_tensor(tensor, *directions))))
+    return value, directions, iterations, converged
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
-    """Multistart maximization of |I| over orthonormal frames.
+    """Multistart maximization of |I| over orthonormal frames, by :func:`_search`.
 
-    The seed draws one Haar-random rotation R0, and the search runs on the
-    rotated tensor T(R0., R0., R0.), whose |I| at (n1, n2) is the state's at
-    (R0 n1, R0 n2).  Its SAMPLES starts are the fixed rotations of
-    START_GRID, which cover SO(3)/D2, with (n1, n2) the first two columns
-    of each.  All are scored at once, and the best `restarts` of them
-    (1 <= restarts <= SAMPLES) are polished together on SO(3), so every
-    visited frame is orthonormal.  The frame returned is (R0 n1, R0 n2),
-    and `best_value` is |I| evaluated once at that frame, so it equals
-    abs(eval_I(state, best_frame)).  Deterministic for a fixed (state,
-    restarts, seed).
+    The starts are the rotations of START_GRID, which cover SO(3)/D2, with
+    (n1, n2) their first two columns; the polish stays on SO(3).
+    `best_value` equals abs(eval_I(state, best_frame)).  Deterministic for a
+    fixed (state, restarts, seed).
     """
-    tensor = pauli_tensor(state)
-    rotation = haar_rotations(np.random.default_rng(seed))
-    _, directions, iterations, converged = _search(
-        _rotated(tensor, rotation), I_of, FRAME_COLUMNS, START_GRID[:, None], restarts
+    value, directions, iterations, converged = _search(
+        pauli_tensor(state), I_of, FRAME_COLUMNS, START_GRID[:, None], restarts, seed
     )
-    frame = OrthoFrame(*(rotation @ d for d in directions))
     return OptimizationResult(
-        best_value=float(abs(I_of(correlators_from_tensor(tensor, frame.n1, frame.n2)))),
-        best_frame=frame,
+        best_value=value,
+        best_frame=OrthoFrame(*directions),
         restarts=restarts,
         seed=seed,
         iterations_total=iterations,
@@ -354,17 +349,15 @@ def e_ghz(state, restarts=DEFAULT_RESTARTS, seed=0):
 
 
 def maximize_mermin(state, restarts=100, seed=0):
-    """Maximum of the linear Mermin combination over two shared unit directions.
+    """Maximum of the linear Mermin combination over two unit directions, by :func:`_search`.
 
-    Unlike :func:`maximize_I` the two directions are independent (not
-    constrained to be orthogonal): each is the third column of its own
-    rotation.  The SAMPLES start pairs are seeded Haar-random rotations
-    (:func:`haar_rotations`), so each start direction is uniform on the
-    sphere.  M3 is odd under (n1, n2) -> (-n1, -n2), so its maximum is
-    max |M3|.
+    The directions are independent, not orthogonal: each is the third column
+    of its own rotation, from the SAMPLES start pairs (START_GRID,
+    START_GRID[PAIRING]).  M3 is odd under (n1, n2) -> (-n1, -n2), so its
+    maximum is max |M3|.
     """
-    starts = haar_rotations(np.random.default_rng(seed), (SAMPLES, 2))
-    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts, restarts)[0]
+    starts = np.stack((START_GRID, START_GRID[PAIRING]), axis=1)
+    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts, restarts, seed)[0]
 
 
 def w_analytic_max():
@@ -456,8 +449,8 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
     """
     if not (isinstance(trials, Integral) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    rng = np.random.default_rng(seed)
     reference = e_ghz(state, restarts=restarts, seed=seed)
+    rng = np.random.default_rng(seed)
     values = []
     for _ in range(trials):
         if per_party:

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -158,6 +159,8 @@ def make_ghz_basis_element(i, j, k, sign=+1):
     """(|ijk> +/- |i~ j~ k~>)/sqrt(2) with x~ the flipped bit."""
     if sign not in (+1, -1):
         raise StateError(f"sign must be +1 or -1, got {sign!r}")
+    if not all(isinstance(bit, Integral) and bit in (0, 1) for bit in (i, j, k)):
+        raise StateError(f"bits must be 0 or 1, got {(i, j, k)!r}")
     v = np.zeros(8, dtype=complex)
     v[4 * i + 2 * j + k] = 1.0 / np.sqrt(2)
     v[4 * (1 - i) + 2 * (1 - j) + (1 - k)] += sign / np.sqrt(2)

@@ -368,6 +368,42 @@ def test_bad_env_seed(capsys, monkeypatch):
     assert "GHZMETER_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["optimize", "--state", "w", "--restarts", "1", "--seed", "-1"], None),
+        (["bench", "--restarts", "1", "--seed", "-1"], None),
+        (["random", "--samples", "1", "--restarts", "1", "--seed", "-1"], None),
+        (["optimize", "--state", "w", "--restarts", "1"], "-3"),
+        (["random", "--samples", "1", "--restarts", "1"], "-3"),
+    ],
+)
+def test_negative_seed_exits_2_naming_seed(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("GHZMETER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GHZMETER_SEED", env)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 10.9 GiB"), "error: Unable to allocate 10.9 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error, line):
+    # qudit --d 30 asks for 27000 x 27000 operators; a stub raises in their place
+    def too_large(state, pair):
+        raise error
+
+    monkeypatch.setattr(ghzmeter.functional, "eval_Id", too_large)
+    assert run(capsys, ["qudit", "--d", "3"]) == (2, "", line)
+
+
 def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
     monkeypatch.delenv("GHZMETER_SEED", raising=False)
     monkeypatch.setattr(cli, "build_parser", None)  # main parses with the parser built at import

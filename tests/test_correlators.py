@@ -13,6 +13,7 @@ from ghzmeter import (
     pauli_tensor,
     verify_identities,
 )
+from ghzmeter.correlators import tensor_at_columns
 from ghzmeter.linalg import SIGMA_X, max_norm
 from ghzmeter.optimize import START_GRID, haar_rotations, rotation_from_vector
 from ghzmeter.states import StateError, haar_random_pure
@@ -143,6 +144,16 @@ def test_correlators_stencil_batches_match_operators(rng):
         r = moves @ haar_rotations(rng, (8, p))[:, None]
         assert r.shape == (8, m, p, 3, 3)
         assert_matches_operators(state, *(r[..., i, :, c] for i, c in columns))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("lead", [(), (7,)])
+def test_tensor_at_columns_matches_einsum(rng, lead, m):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    c = rng.standard_normal(lead + (3, m))
+    c /= np.linalg.norm(c, axis=-2, keepdims=True)
+    want = np.einsum("ijk,...iu,...jv,...kw->...uvw", tensor, c, c, c)
+    assert np.max(np.abs(tensor_at_columns(tensor, c) - want)) < 1e-15
 
 
 def test_correlators_of_two_vectors_are_float_scalars(rng):

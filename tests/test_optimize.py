@@ -17,19 +17,20 @@ from ghzmeter import (
     maximize_I,
     w_analytic_max,
 )
-from ghzmeter.correlators import correlators_from_tensor, pauli_tensor
+from ghzmeter.correlators import correlators_from_tensor, pauli_tensor, tensor_at_columns
 from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
     FRAME_COLUMNS,
     GRID_CELLS,
     LADDER,
     MERMIN_COLUMNS,
+    PAIRING,
     SAMPLES,
     START_GRID,
     _best_rows,
     _derivatives,
     _ladder_steps,
-    _rotated,
+    _search,
     haar_rotations,
     maximize_mermin,
     rotation_from_vector,
@@ -110,7 +111,7 @@ def test_rotated_tensor_moves_the_frame(rng):
     tensor = pauli_tensor(random_mixed_state(rng))
     rotation = haar_rotations(rng)
     n1, n2 = np.moveaxis(haar_rotations(rng, (100,))[..., :2], -1, 0)
-    moved = I_of(correlators_from_tensor(_rotated(tensor, rotation), n1, n2))
+    moved = I_of(correlators_from_tensor(tensor_at_columns(tensor, rotation), n1, n2))
     direct = I_of(correlators_from_tensor(tensor, n1 @ rotation.T, n2 @ rotation.T))
     assert np.max(np.abs(moved - direct)) < 1e-15
 
@@ -215,6 +216,24 @@ def test_non_integer_restarts_rejected(restarts):
 
 
 @pytest.mark.parametrize(
+    "seed",
+    [None, -1, 1.5, "7", np.random.default_rng(0)],
+    ids=["None", "negative", "float", "string", "generator"],
+)
+def test_seed_outside_non_negative_integers_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        maximize_I(make_w(), restarts=1, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        maximize_mermin(make_w(), restarts=1, seed=seed)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    a, b = maximize_I(make_w(), 5, np.int64(3)), maximize_I(make_w(), 5, 3)
+    assert a.best_value == b.best_value and a.iterations_total == b.iterations_total
+    assert maximize_mermin(make_w(), 5, np.uint8(3)) == maximize_mermin(make_w(), 5, 3)
+
+
+@pytest.mark.parametrize(
     "probe, match",
     [
         (lambda: lu_invariance_check(make_ghz(2), trials=0, restarts=1), "trials"),
@@ -262,6 +281,16 @@ def test_w_supremum_to_rounding(restarts):
 
 def test_mermin_w_maximum():
     assert abs(maximize_mermin(make_w(), 60, 0) - 3.0459560059918087) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mermin_value_is_abs_M3_at_its_directions(rng, seed):
+    state = random_mixed_state(rng)
+    tensor = pauli_tensor(state)
+    starts = np.stack((START_GRID, START_GRID[PAIRING]), axis=1)
+    value, directions, _, _ = _search(tensor, M3_of, MERMIN_COLUMNS, starts, 30, seed)
+    assert value == abs(M3_of(correlators_from_tensor(tensor, *directions)))
+    assert value == maximize_mermin(state, 30, seed)
 
 
 def test_maximize_biseparable_and_product():

@@ -78,6 +78,12 @@ def test_acin_normalized_for_random_params(rng):
         assert abs(np.linalg.norm(st.vector) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bits", [(2, 0, 0), (0, -1, 1), (1, 1.0, 0)])
+def test_ghz_basis_element_rejects_non_bits(bits):
+    with pytest.raises(StateError, match="bits"):
+        make_ghz_basis_element(*bits)
+
+
 def test_ghz_basis_element_zero_plus_is_ghz():
     assert np.allclose(make_ghz_basis_element(0, 0, 0, +1).vector, make_ghz(2).vector)
 
