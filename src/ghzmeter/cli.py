@@ -186,7 +186,7 @@ def cmd_bench(args):
 def cmd_random(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    optimize.check_seed(args.seed)
+    states.check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     values = []
     for _ in range(args.samples):

@@ -54,12 +54,16 @@ def _dot3(x, y):
 
 
 def tensor_at_columns(tensor, c):
-    """T(C_u, C_v, C_w) for the m columns C of `c` (..., 3, m), shape (..., m, m, m)."""
-    lead, m = c.shape[:-2], c.shape[-1]
+    """T(C_u, C_v, C_w) for the m columns C of `c` (..., n, m), shape (..., m, m, m).
+
+    T is an n x n x n tensor: the 3x3x3 Pauli tensor, or a qudit state's
+    amplitude or density tensor in :func:`ghzmeter.functional.eval_Id`.
+    """
+    lead, n, m = c.shape[:-2], c.shape[-2], c.shape[-1]
     ct = np.swapaxes(c, -1, -2)
-    t = tensor.reshape(9, 3) @ c  # T(e_i, e_j, C_w)
-    t = ct[..., None, :, :] @ t.reshape(lead + (3, 3, m))  # T(e_i, C_v, C_w)
-    t = ct @ t.reshape(lead + (3, m * m))  # T(C_u, C_v, C_w)
+    t = tensor.reshape(n * n, n) @ c  # T(e_i, e_j, C_w)
+    t = ct[..., None, :, :] @ t.reshape(lead + (n, n, m))  # T(e_i, C_v, C_w)
+    t = ct @ t.reshape(lead + (n, m * m))  # T(C_u, C_v, C_w)
     return t.reshape(lead + (m, m, m))
 
 

@@ -6,7 +6,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .correlators import CorrelatorQuad, correlators_from_tensor, pauli_tensor
+from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
+from .correlators import tensor_at_columns
 from .linalg import kron, max_norm, symplectic_form, weyl_operator
 from .states import StateError
 
@@ -116,7 +117,11 @@ class QuditGenPair:
 
 
 def weyl_quad(pair):
-    """The four three-qudit observables G1..G4 built from the generator pair."""
+    """The four three-qudit observables G1..G4 as d**3 x d**3 operators.
+
+    Only :func:`qudit_product_residual` multiplies them; :func:`eval_Id`
+    never forms them.
+    """
     w1 = weyl_operator(pair.d, *pair.g1)
     w2 = weyl_operator(pair.d, *pair.g2)
     return (
@@ -138,17 +143,40 @@ def qudit_product_residual(pair):
     return max_norm(g1 @ g2 @ g3 - phase * g4)
 
 
+def weyl_correlators(state, w):
+    """E[a, b, c] = <W_a x W_b x W_c> for the single-qudit operators w (2, d, d).
+
+    Three single-party contractions by :func:`tensor_at_columns`, so no
+    d**3 x d**3 operator is formed.  A pure state's amplitudes psi[i, j, k]
+    meet the 2d columns (a, i) holding row i of W_a, which gives
+    (W_a x W_b x W_c) psi for all eight (a, b, c) in one (2d)**3 tensor, read
+    against conj(psi).  A density matrix becomes a (d**2)**3 tensor over the
+    (row, column) index pairs of each party and meets the two columns
+    vec(W_a^T), so E[a, b, c] = Tr((W_a x W_b x W_c) rho) directly.
+    """
+    d = w.shape[-1]
+    if state.vector is not None:
+        psi = state.vector.reshape(d, d, d)
+        t = tensor_at_columns(psi, w.transpose(2, 0, 1).reshape(d, 2 * d))
+        return np.einsum("aibjck,ijk->abc", t.reshape((2, d) * 3), psi.conj())
+    rho = state.density.reshape((d,) * 6).transpose(0, 3, 1, 4, 2, 5)
+    return tensor_at_columns(rho.reshape((d * d,) * 3), w.transpose(0, 2, 1).reshape(2, d * d).T)
+
+
 def eval_Id(state, pair):
-    """Qudit functional <G4> - omega^(2<g1,g2>) <G1><G2><G3>; complex, |I_d| <= 2."""
+    """Qudit functional <G4> - omega^(2<g1,g2>) <G1><G2><G3>; complex, |I_d| <= 2.
+
+    G1..G4 are read at SLOTS from the correlators of W(g1), W(g2), as
+    :func:`eval_I` reads e1..e4 from the Pauli tensor.
+    """
     if state.local_dim != pair.d:
         raise StateError(
             f"state has local_dim {state.local_dim} but generators live in Z_{pair.d}"
         )
-    g1, g2, g3, g4 = weyl_quad(pair)
-    phase = pair.omega ** (2 * pair.symplectic)
-    return state.expectation(g4) - phase * (
-        state.expectation(g1) * state.expectation(g2) * state.expectation(g3)
-    )
+    w = np.array((weyl_operator(pair.d, *pair.g1), weyl_operator(pair.d, *pair.g2)))
+    e = weyl_correlators(state, w)
+    g1, g2, g3, g4 = (complex(e[slots]) for slots in SLOTS)
+    return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
 
 
 def scan_qudit_pairs(state):

@@ -1,9 +1,9 @@
 """Small dense complex linear algebra: Pauli and Heisenberg-Weyl operators, frames.
 
-Everything here acts on spaces of dimension at most d**3 <= 125, so all
-matrices are plain dense complex numpy arrays and every function is pure.
+Every matrix is a plain dense complex numpy array and every function is pure.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -74,33 +74,26 @@ class OrthoFrame:
         object.__setattr__(self, "c", float(np.dot(n1, n2)))
 
 
-def shift_matrix(d):
-    """Cyclic shift X|j> = |j+1 mod d>."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
-def clock_matrix(d):
-    """Clock Z|j> = omega^j |j> with omega = exp(2*pi*i/d)."""
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
-
-
 def weyl_operator(d, p, q):
-    """Heisenberg-Weyl unitary on C^d with label (p, q).
+    """Heisenberg-Weyl unitary tau**(-p*q) X**p Z**q on C^d with label (p, q).
 
-    Phase convention tau**(-p*q) with tau = exp(i*pi/d), a primitive 2d-th
-    root of unity; this agrees with the half-integer power of omega for odd
-    d and stays well defined for even d.  Recovers sigma_x, sigma_z (and
-    -sigma_y at (1,1)) when d = 2.
+    X|j> = |j+1 mod d> is the shift, Z|j> = omega**j |j> the clock, with
+    omega = tau**2 and tau = exp(i*pi/d), a primitive 2d-th root of unity;
+    tau**(-p*q) agrees with the half-integer power of omega for odd d and
+    stays well defined for even d.  The operator is monomial: column j holds
+    tau**(2*q*j - p*q) in row (j + p) mod d, with the exponent reduced mod 2d
+    so every entry is one correctly rounded root of unity.  Recovers sigma_x,
+    sigma_z (and -sigma_y at (1,1)) when d = 2.
     """
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     p, q = p % d, q % d
-    tau = np.exp(1j * np.pi / d)
-    return tau ** (-p * q) * (
-        np.linalg.matrix_power(shift_matrix(d), p)
-        @ np.linalg.matrix_power(clock_matrix(d), q)
-    )
+    tau = 1j * math.pi / d
+    w = np.zeros((d, d), dtype=complex)
+    # d scalar exponentials beat numpy's per-call cost at the small d this serves
+    for j in range(d):
+        w[(j + p) % d, j] = cmath.exp(tau * ((2 * q * j - p * q) % (2 * d)))
+    return w
 
 
 def symplectic_form(d, g1, g2):

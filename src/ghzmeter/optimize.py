@@ -10,7 +10,7 @@ from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_t
 from .correlators import tensor_at_columns
 from .functional import I_of, M3_of, w_reduced_I
 from .linalg import OrthoFrame
-from .states import QuantumState, apply_local_unitaries, haar_random_unitary
+from .states import QuantumState, apply_local_unitaries, check_seed, haar_random_unitary
 
 DEFAULT_RESTARTS = 300
 # cells per axis of the Rodrigues cube whose centres are maximize_I's fixed starts
@@ -287,12 +287,6 @@ def _best_rows(scores, count):
     kth = np.partition(lower, count - 1)[count - 1]
     rows = np.flatnonzero(lower <= kth)
     return rows[np.argsort(lower[rows], kind="stable")][:count]
-
-
-def check_seed(seed):
-    """Raise ValueError unless `seed` is a non-negative integer."""
-    if not (isinstance(seed, Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _search(tensor, functional, columns, starts, restarts, seed):

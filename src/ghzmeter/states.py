@@ -220,11 +220,21 @@ def maximally_mixed(d=2):
     return QuantumState(d, density=np.eye(dim, dtype=complex) / dim)
 
 
+def check_seed(seed):
+    """Raise ValueError unless `seed` is a non-negative integer."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def haar_random_pure(d, seed):
     """Haar-random pure state on (C^d)^x3, deterministic in the seed.
 
-    Accepts either an integer seed or an existing ``numpy.random.Generator``.
+    Accepts either a non-negative integer seed or an existing
+    ``numpy.random.Generator``, whose stream it advances.  Anything else,
+    None included, raises ValueError: None would draw fresh OS entropy.
     """
+    if not isinstance(seed, np.random.Generator):
+        check_seed(seed)
     rng = np.random.default_rng(seed)
     dim = d**3
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

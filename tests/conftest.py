@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable
+from ghzmeter.functional import weyl_quad
 from ghzmeter.linalg import max_norm
 
 
@@ -36,12 +37,13 @@ def random_orthogonal_frame(rng):
     return OrthoFrame(n1, v / np.linalg.norm(v))
 
 
-def random_mixed_state(rng):
-    """Full-rank three-qubit density matrix A A^H / Tr(A A^H) with Gaussian A."""
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+def random_mixed_state(rng, d=2):
+    """Full-rank three-qudit density matrix A A^H / Tr(A A^H) with Gaussian A."""
+    dim = d**3
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     rho = (rho + rho.conj().T) / 2
-    return QuantumState(2, density=rho / np.trace(rho).real)
+    return QuantumState(d, density=rho / np.trace(rho).real)
 
 
 # The 8x8 operator form of the correlators, the oracle the tensor path is checked on
@@ -77,6 +79,13 @@ def operator_quad(frame):
         triple_observable(n2, n2, n1),
         triple_observable(n1, n1, n1),
     )
+
+
+# The d^3 x d^3 operator form of the qudit functional, the oracle eval_Id is checked on
+def operator_Id(state, pair):
+    """I_d = <G4> - omega^(2<g1,g2>) <G1><G2><G3> from the four kron-built operators."""
+    g1, g2, g3, g4 = (state.expectation(g) for g in weyl_quad(pair))
+    return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
 
 
 @pytest.fixture

@@ -46,7 +46,16 @@ def test_every_private_definition_is_used():
 
 DELETED = {
     ghzmeter: ["frame_from_angles", "triple_observable", "is_hermitian", "is_unitary"],
-    ghzmeter.linalg: ["triple_observable", "is_hermitian", "is_unitary", "X_HAT", "Y_HAT", "Z_HAT"],
+    ghzmeter.linalg: [
+        "triple_observable",
+        "is_hermitian",
+        "is_unitary",
+        "X_HAT",
+        "Y_HAT",
+        "Z_HAT",
+        "shift_matrix",
+        "clock_matrix",
+    ],
     ghzmeter.correlators: ["CONTRACT"],
     ghzmeter.optimize: [
         "_rotated",

@@ -396,11 +396,11 @@ def test_negative_seed_exits_2_naming_seed(capsys, monkeypatch, argv, env):
     ],
 )
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error, line):
-    # qudit --d 30 asks for 27000 x 27000 operators; a stub raises in their place
-    def too_large(state, pair):
+    # the residual line of qudit --d 30 asks for 27000 x 27000 operators; a stub raises instead
+    def too_large(pair):
         raise error
 
-    monkeypatch.setattr(ghzmeter.functional, "eval_Id", too_large)
+    monkeypatch.setattr(ghzmeter.functional, "qudit_product_residual", too_large)
     assert run(capsys, ["qudit", "--d", "3"]) == (2, "", line)
 
 

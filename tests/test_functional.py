@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,21 @@ from ghzmeter import (
     mermin_M3,
     scan_qudit_pairs,
     schmidt_subfamily_I,
+    symplectic_form,
     tau3_relation,
     w_reduced_I,
 )
 from ghzmeter.functional import qudit_product_residual
 from ghzmeter.states import StateError, haar_random_pure
 
-from conftest import random_direction, random_orthogonal_frame, real_expectation, triple_observable
+from conftest import (
+    operator_Id,
+    random_direction,
+    random_mixed_state,
+    random_orthogonal_frame,
+    real_expectation,
+    triple_observable,
+)
 
 
 def random_acin(rng):
@@ -206,6 +215,32 @@ def test_eval_Id_bounded_random_qutrit_states():
             for g2 in itertools.product(range(3), repeat=2):
                 pair = QuditGenPair(3, g1, g2)
                 assert abs(eval_Id(st, pair)) <= 2 + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_eval_Id_matches_operator_oracle(rng, d, kind):
+    state = haar_random_pure(d, rng) if kind == "pure" else random_mixed_state(rng, d)
+    labels = list(itertools.product(range(d), repeat=2))
+    for g1, g2 in itertools.product(labels, repeat=2):
+        if symplectic_form(d, g1, g2) == 0:
+            continue
+        pair = QuditGenPair(d, g1, g2)
+        assert abs(eval_Id(state, pair) - operator_Id(state, pair)) < 1e-12
+
+
+def test_eval_Id_forms_no_d3_by_d3_array():
+    # one 1728 x 1728 complex operator is 48 MB at d = 12; eval_Id's largest
+    # arrays hold (2d)**3 = 13824 entries (221 KB), so its peak stays under 1 MB
+    state, pair = make_ghz(12), QuditGenPair(12, (1, 0), (0, 1))
+    tracemalloc.start()
+    try:
+        value = eval_Id(state, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.isfinite(value) and abs(value) <= 2 + 1e-9
 
 
 def test_qutrit_ghz_scan_records_maximum():

@@ -11,9 +11,7 @@ from ghzmeter.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    clock_matrix,
     max_norm,
-    shift_matrix,
     symplectic_form,
     unit_vector,
 )
@@ -163,7 +161,7 @@ def test_weyl_symplectic_commutation(d):
 
 def test_shift_clock_action():
     d = 4
-    x, z = shift_matrix(d), clock_matrix(d)
+    x, z = weyl_operator(d, 1, 0), weyl_operator(d, 0, 1)
     e0 = np.zeros(d)
     e0[0] = 1.0
     assert np.allclose(x @ e0, np.eye(d)[:, 1])

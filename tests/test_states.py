@@ -23,7 +23,7 @@ from ghzmeter import (
     maximally_mixed,
     save_state,
 )
-from ghzmeter.linalg import SIGMA_X, SIGMA_Z, shift_matrix
+from ghzmeter.linalg import SIGMA_X, SIGMA_Z, weyl_operator
 from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 
 from conftest import MALFORMED_STATE_FILES, operator_quad, real_expectation, triple_observable
@@ -39,7 +39,7 @@ def test_ghz_qutrit():
     ghz = make_ghz(3)
     idx = [0, 13, 26]
     assert np.allclose(ghz.vector[idx], 1 / np.sqrt(3))
-    x = shift_matrix(3)
+    x = weyl_operator(3, 1, 0)
     assert abs(ghz.expectation(kron(x, x, x)) - 1.0) < 1e-12
 
 
@@ -152,6 +152,18 @@ def test_haar_random_pure_basic():
     assert abs(np.linalg.norm(st1.vector) - 1.0) < 1e-12
     assert abs(np.vdot(st1.vector, st2.vector)) ** 2 < 1.0 - 1e-6
     assert np.allclose(st1.vector, haar_random_pure(2, seed=1).vector)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "a"], ids=["None", "negative", "float", "string"])
+def test_haar_random_pure_rejects_seed_outside_non_negative_integers(seed):
+    with pytest.raises(ValueError, match="seed"):
+        haar_random_pure(2, seed)
+
+
+def test_haar_random_pure_takes_integer_or_generator_seed():
+    expected = haar_random_pure(3, 4).vector
+    assert np.array_equal(haar_random_pure(3, np.int64(4)).vector, expected)
+    assert np.array_equal(haar_random_pure(3, np.random.default_rng(4)).vector, expected)
 
 
 def test_haar_amplitude_statistics():
