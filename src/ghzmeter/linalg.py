@@ -6,6 +6,7 @@ Every matrix is a plain dense complex numpy array and every function is pure.
 import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -83,10 +84,13 @@ def weyl_operator(d, p, q):
     stays well defined for even d.  The operator is monomial: column j holds
     tau**(2*q*j - p*q) in row (j + p) mod d, with the exponent reduced mod 2d
     so every entry is one correctly rounded root of unity.  Recovers sigma_x,
-    sigma_z (and -sigma_y at (1,1)) when d = 2.
+    sigma_z (and -sigma_y at (1,1)) when d = 2.  Integer labels are reduced mod d.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    if not (isinstance(d, Integral) and d >= 2):
+        raise ValueError(f"qudit dimension d must be an integer >= 2, got {d!r}")
+    for name, label in (("p", p), ("q", q)):
+        if not isinstance(label, Integral):
+            raise ValueError(f"Weyl label {name} must be an integer, got {label!r}")
     p, q = p % d, q % d
     tau = 1j * math.pi / d
     w = np.zeros((d, d), dtype=complex)

@@ -34,10 +34,7 @@ class QuantumState:
 
     def __post_init__(self):
         d = self.local_dim
-        if d < 2:
-            raise StateError(f"local dimension must be >= 2, got {d}")
-        if not d <= MAX_LOCAL_DIM:  # nan too; a huge d is not formatted into the message
-            raise StateError(f"local dimension must be at most {MAX_LOCAL_DIM}")
+        check_local_dim(d)
         dim = d**3
         if (self.vector is None) == (self.density is None):
             raise StateError("exactly one of vector / density must be given")
@@ -131,9 +128,9 @@ class AcinParams:
 
 def make_ghz(d=2):
     """GHZ state d**-0.5 * sum_j |jjj> on three qudits."""
+    check_local_dim(d)
     v = np.zeros(d**3, dtype=complex)
-    for j in range(d):
-        v[j * d * d + j * d + j] = 1.0 / np.sqrt(d)
+    v[:: d * d + d + 1] = 1.0 / np.sqrt(d)  # |jjj> sits at index j * (d*d + d + 1)
     return QuantumState(d, vector=v)
 
 
@@ -216,8 +213,16 @@ def make_biseparable(cut, single, pair):
 
 def maximally_mixed(d=2):
     """The state 1/d**3 on three qudits."""
+    check_local_dim(d)
     dim = d**3
     return QuantumState(d, density=np.eye(dim, dtype=complex) / dim)
+
+
+def check_local_dim(d):
+    """Raise StateError unless `d` is an integer in [2, MAX_LOCAL_DIM]."""
+    # d is not formatted into the message: an integer past 4300 digits has no str
+    if not (isinstance(d, Integral) and 2 <= d <= MAX_LOCAL_DIM):
+        raise StateError(f"local dimension must be an integer in [2, {MAX_LOCAL_DIM}]")
 
 
 def check_seed(seed):
@@ -233,6 +238,7 @@ def haar_random_pure(d, seed):
     ``numpy.random.Generator``, whose stream it advances.  Anything else,
     None included, raises ValueError: None would draw fresh OS entropy.
     """
+    check_local_dim(d)
     if not isinstance(seed, np.random.Generator):
         check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable
-from ghzmeter.functional import weyl_quad
+from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable, weyl_operator
 from ghzmeter.linalg import max_norm
 
 
@@ -81,11 +80,25 @@ def operator_quad(frame):
     )
 
 
-# The d^3 x d^3 operator form of the qudit functional, the oracle eval_Id is checked on
+# The d^3 x d^3 operator forms of the qudit functional and of the product
+# residual, the oracles eval_Id and qudit_product_residual are checked on
+def operator_weyl_quad(pair):
+    """G1..G4 of a generator pair as d^3 x d^3 operators."""
+    w1 = weyl_operator(pair.d, *pair.g1)
+    w2 = weyl_operator(pair.d, *pair.g2)
+    return (kron(w1, w2, w2), kron(w2, w1, w2), kron(w2, w2, w1), kron(w1, w1, w1))
+
+
 def operator_Id(state, pair):
     """I_d = <G4> - omega^(2<g1,g2>) <G1><G2><G3> from the four kron-built operators."""
-    g1, g2, g3, g4 = (state.expectation(g) for g in weyl_quad(pair))
+    g1, g2, g3, g4 = (state.expectation(g) for g in operator_weyl_quad(pair))
     return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
+
+
+def operator_residual(pair):
+    """Max-norm of G1 G2 G3 - omega^(2<g1,g2>) G4 from the four kron-built operators."""
+    g1, g2, g3, g4 = operator_weyl_quad(pair)
+    return max_norm(g1 @ g2 @ g3 - pair.omega ** (2 * pair.symplectic) * g4)
 
 
 @pytest.fixture

@@ -67,7 +67,7 @@ DELETED = {
         "STENCILS",
         "STENCIL_STEP",
     ],
-    ghzmeter.functional: ["lhv_identity_holds"],
+    ghzmeter.functional: ["lhv_identity_holds", "weyl_quad"],
     ghzmeter.cli: ["UsageError"],
     QuantumState: ["real_expectation"],
     OrthoFrame: ["orthogonal", "is_orthogonal", "m"],

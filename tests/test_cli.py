@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,12 +397,30 @@ def test_negative_seed_exits_2_naming_seed(capsys, monkeypatch, argv, env):
     ],
 )
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error, line):
-    # the residual line of qudit --d 30 asks for 27000 x 27000 operators; a stub raises instead
+    # no qudit input a test can afford runs out of memory, so a stub raises in its place
     def too_large(pair):
         raise error
 
     monkeypatch.setattr(ghzmeter.functional, "qudit_product_residual", too_large)
     assert run(capsys, ["qudit", "--d", "3"]) == (2, "", line)
+
+
+def test_qudit_negative_d_exits_2_naming_local_dimension(capsys):
+    line = "error: local dimension must be an integer in [2, 2097151]\n"
+    assert run(capsys, ["qudit", "--d", "-3"]) == (2, "", line)
+
+
+def test_qudit_d12_forms_no_d3_by_d3_array(capsys):
+    # one 1728 x 1728 complex operator is 48 MB; the whole command stays under 1 MiB
+    tracemalloc.start()
+    try:
+        code = main(["qudit", "--d", "12", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2**20
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert np.isfinite(doc["residual"]) and doc["abs_Id"] <= 2 + 1e-9
 
 
 def test_parser_carries_nothing_between_calls(capsys, monkeypatch):

@@ -30,6 +30,7 @@ from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
     operator_Id,
+    operator_residual,
     random_direction,
     random_mixed_state,
     random_orthogonal_frame,
@@ -243,6 +244,20 @@ def test_eval_Id_forms_no_d3_by_d3_array():
     assert np.isfinite(value) and abs(value) <= 2 + 1e-9
 
 
+def test_qudit_product_residual_forms_no_d3_by_d3_array():
+    # 2*g2 != 0 mod 12, so each site keeps 2d = 24 entries: the largest arrays
+    # hold (2d)**3 = 13824 entries (221 KB), against 48 MB per 1728 x 1728 operator
+    pair = QuditGenPair(12, (1, 0), (1, 1))
+    tracemalloc.start()
+    try:
+        residual = qudit_product_residual(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.isfinite(residual) and residual <= 2 + 1e-9
+
+
 def test_qutrit_ghz_scan_records_maximum():
     best, pair, results = scan_qudit_pairs(make_ghz(3))
     # 8 nonzero g1 choices, each with 9 - 3 = 6 non-commuting partners
@@ -258,3 +273,12 @@ def test_qudit_product_residual_d2():
     # the residual quantifies the stated identity rather than assuming it
     pair = QuditGenPair(2, (1, 0), (0, 1))
     assert abs(qudit_product_residual(pair) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_qudit_product_residual_matches_operator_oracle(d):
+    # every label pair, commuting ones and zero labels included
+    labels = list(itertools.product(range(d), repeat=2))
+    for g1, g2 in itertools.product(labels, repeat=2):
+        pair = QuditGenPair(d, g1, g2)
+        assert abs(qudit_product_residual(pair) - operator_residual(pair)) < 1e-12

@@ -134,6 +134,27 @@ def test_weyl_recovers_paulis():
     assert np.allclose(weyl_operator(2, 1, 1), -SIGMA_Y)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((2.0, 1, 0), "d"),
+        ((1, 0, 0), "d"),
+        (("3", 0, 0), "d"),
+        ((3, 1.5, 0), "p"),
+        ((3, np.nan, 0), "p"),
+        ((3, 0, 2.0), "q"),
+    ],
+)
+def test_weyl_operator_rejects_non_integer_input(args, name):
+    with pytest.raises(ValueError, match=f"(dimension|label) {name} must be an integer"):
+        weyl_operator(*args)
+
+
+def test_weyl_operator_reduces_any_integer_label():
+    assert np.array_equal(weyl_operator(3, -1, 2**70 + 1), weyl_operator(3, 2, (2**70 + 1) % 3))
+    assert np.array_equal(weyl_operator(np.int64(3), np.int64(4), 0), weyl_operator(3, 1, 0))
+
+
 def test_weyl_cube_is_identity_d3():
     w = weyl_operator(3, 1, 0)
     assert max_norm(w @ w @ w - np.eye(3)) < 1e-12

@@ -8,7 +8,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzmeter import AcinParams, OrthoFrame, QuantumState, QuditGenPair, StateError
+from ghzmeter import (
+    AcinParams,
+    OrthoFrame,
+    QuantumState,
+    QuditGenPair,
+    StateError,
+    haar_random_pure,
+    make_ghz,
+    maximally_mixed,
+    weyl_operator,
+)
 from ghzmeter.cli import NAMED_STATES, main
 
 # every float, nan and +-inf included
@@ -29,7 +39,7 @@ def test_ortho_frame_is_valid_or_raises(n1, n2):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    local_dim=st.sampled_from([2, 2.0]) | FLOATS | st.integers(),
+    local_dim=st.sampled_from([2, 2.0]) | FLOATS | st.integers() | st.text(),
     entries=st.lists(FLOATS, min_size=16, max_size=16),
     mixed=st.booleans(),
 )
@@ -48,6 +58,35 @@ def test_quantum_state_is_valid_or_raises(local_dim, entries, mixed):
         return
     rho = state.density_matrix()
     assert np.all(np.isfinite(rho)) and abs(np.trace(rho).real - 1) < 1e-9
+
+
+# d <= 6, so no example allocates more than 6**3 amplitudes or a 216 x 216 matrix
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(max_value=6) | FLOATS)
+def test_makers_return_valid_state_or_raise(d):
+    for build in (make_ghz, maximally_mixed, lambda d: haar_random_pure(d, 0)):
+        try:
+            state = build(d)
+        except StateError:
+            continue
+        assert isinstance(d, int) and state.local_dim == d >= 2
+        rho = state.density_matrix()
+        assert rho.shape == (d**3, d**3) and abs(np.trace(rho).real - 1) < 1e-12
+
+
+# d <= 8, so no example allocates more than an 8 x 8 matrix; labels are unbounded
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(max_value=8) | FLOATS, p=st.integers() | FLOATS, q=st.integers() | FLOATS)
+def test_weyl_operator_is_unitary_monomial_or_raises(d, p, q):
+    try:
+        w = weyl_operator(d, p, q)
+    except ValueError:
+        return
+    assert isinstance(d, int) and w.shape == (d, d)
+    nonzero = w != 0
+    assert np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)
+    assert np.allclose(np.abs(w[nonzero]), 1, atol=1e-12, rtol=0)
+    assert np.allclose(w.conj().T @ w, np.eye(d), atol=1e-12, rtol=0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -203,6 +203,25 @@ def test_state_validation_errors():
         QuantumState(2)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [2.0, 2.5, "2", np.nan, -(10**5000), -3, 0, 1, 2**21],
+    ids=["float", "fraction", "string", "nan", "huge", "-3", "0", "1", "2**21"],
+)
+def test_local_dim_outside_integers_in_range_rejected(d):
+    # a 5001-digit integer has no str, so the message must not format d
+    unit = np.zeros(8, dtype=complex)
+    unit[0] = 1.0
+    for build in (
+        lambda: QuantumState(d, vector=unit),
+        lambda: make_ghz(d),
+        lambda: maximally_mixed(d),
+        lambda: haar_random_pure(d, 0),
+    ):
+        with pytest.raises(StateError, match=r"local dimension must be an integer in \[2, 2097151\]"):
+            build()
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
