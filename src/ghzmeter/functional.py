@@ -165,6 +165,11 @@ def eval_Id(state, pair):
             f"state has local_dim {state.local_dim} but generators live in Z_{pair.d}"
         )
     w = np.array((weyl_operator(pair.d, *pair.g1), weyl_operator(pair.d, *pair.g2)))
+    return _Id_of(state, pair, w)
+
+
+def _Id_of(state, pair, w):
+    """I_d of `pair` from its single-site operators w = (W(g1), W(g2)), shape (2, d, d)."""
     e = weyl_correlators(state, w)
     g1, g2, g3, g4 = (complex(e[slots]) for slots in SLOTS)
     return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
@@ -173,12 +178,18 @@ def eval_Id(state, pair):
 def scan_qudit_pairs(state):
     """Exhaustive scan of |I_d| over all non-commuting generator pairs, d = state.local_dim.
 
-    Returns (best_modulus, best_pair, results) where results maps each
+    The d**2 single-site Weyl operators are built once, and a pair is only
+    made for labels that do not commute.  Returns
+    (best_modulus, best_pair, results) where results maps each
     :class:`QuditGenPair` with nonzero symplectic pairing to its I_d value.
     """
     d = state.local_dim
-    labels = itertools.product(range(d), repeat=2)
-    pairs = (QuditGenPair(d, g1, g2) for g1, g2 in itertools.product(labels, repeat=2))
-    results = {pair: eval_Id(state, pair) for pair in pairs if pair.symplectic}
+    labels = list(itertools.product(range(d), repeat=2))
+    weyl = np.array([weyl_operator(d, *g) for g in labels])
+    results = {}
+    for (i1, g1), (i2, g2) in itertools.product(enumerate(labels), repeat=2):
+        if symplectic_form(d, g1, g2):
+            pair = QuditGenPair(d, g1, g2)
+            results[pair] = _Id_of(state, pair, weyl[[i1, i2]])
     best_pair = max(results, key=lambda pair: abs(results[pair]))
     return abs(results[best_pair]), best_pair, results

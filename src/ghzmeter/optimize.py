@@ -1,6 +1,8 @@
 """Maximization of |I| over orthonormal frames and related numerical probes."""
 
+import itertools
 from dataclasses import dataclass
+from functools import cache
 from numbers import Integral
 from typing import NamedTuple
 
@@ -52,7 +54,7 @@ IDENTITY = np.eye(3).reshape(9)
 def rotation_from_quaternion(q):
     """Rotations R = I + 2 w [v]_x + 2 [v]_x^2 of unit quaternions q = (w, v), shape (..., 4)."""
     products = (q[..., :, None] * q[..., None, :]).reshape(-1, 16)
-    # in place: at import the grid's temporaries set the process's peak memory
+    # in place: the start grid's temporaries would set a search's peak memory
     rotations = products @ QUATERNION_TABLE
     rotations += IDENTITY
     return rotations.reshape(q.shape[:-1] + (3, 3))
@@ -100,7 +102,6 @@ def _start_grid(cells):
     return rotation_from_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
 
 
-START_GRID = _start_grid(GRID_CELLS)
 # a shuffle: pairing each cell r with -r left M3 0.13 short at 60 restarts on some states
 PAIRING = np.random.default_rng(0).permutation(SAMPLES)
 
@@ -189,6 +190,52 @@ def _chart_table(columns):
 
 
 CHART_TABLES = {columns: _chart_table(columns) for columns in (FRAME_COLUMNS, MERMIN_COLUMNS)}
+
+# the indices (u, v, w) of the 27 entries of a 3 x 3 x 3 tensor, in flattened order
+AXES = tuple(itertools.product(range(3), repeat=3))
+# the 28 monomials of (n1, n2) that e1..e4 are linear in, n1_a n2_b n2_c with b <= c and
+# n1_a n1_b n1_c with a <= b <= c, each as its sorted (direction, component) factors
+MONOMIALS = sorted({tuple(sorted(zip(slots, axes))) for slots in SLOTS for axes in AXES})
+
+
+def _score_table():
+    """The fixed linear map from T' (27,) to the coefficients of e1..e4 on MONOMIALS, (4 * 28, 27).
+
+    e_i = T'(x, y, z) with (x, y, z) the directions at SLOTS[i], so the entry
+    T'[u, v, w] adds to the coefficient of e_i on the monomial x_u y_v z_w.
+    """
+    index = {factors: j for j, factors in enumerate(MONOMIALS)}
+    table = np.zeros((len(SLOTS), len(MONOMIALS), 27))
+    for i, slots in enumerate(SLOTS):
+        for entry, axes in enumerate(AXES):
+            table[i, index[tuple(sorted(zip(slots, axes)))], entry] += 1.0
+    return table.reshape(-1, 27)
+
+
+SCORE_TABLE = _score_table()
+
+
+@cache
+def _starts(columns):
+    """The fixed starts of a search over `columns`, built on the first search that needs them.
+
+    Start i is the stack of rotations grid[order[i]] over the p row orders:
+    the identity and, for a second rotation, PAIRING.  Returns the grid of
+    :func:`_start_grid`, the orders and the MONOMIALS of the starts'
+    directions, one row per monomial (28, SAMPLES), filled row by row so
+    that no temporary is larger than a row.  The starts' e1..e4 on T' are
+    then the rows of (SCORE_TABLE @ T') @ monomials.
+    """
+    grid = _start_grid(GRID_CELLS)
+    orders = (np.arange(SAMPLES), PAIRING)[: 1 + max(r for r, _ in columns)]
+    directions = [grid[orders[r], :, c].T for r, c in columns]
+    monomials = np.empty((len(MONOMIALS), SAMPLES))
+    for row, ((d0, c0), (d1, c1), (d2, c2)) in zip(monomials, MONOMIALS):
+        np.multiply(directions[d0][c0], directions[d1][c1], out=row)
+        row *= directions[d2][c2]
+    # every search of the process shares them
+    grid.flags.writeable = monomials.flags.writeable = False
+    return grid, orders, monomials
 
 
 def _directions(rotations, columns):
@@ -289,26 +336,29 @@ def _best_rows(scores, count):
     return rows[np.argsort(lower[rows], kind="stable")][:count]
 
 
-def _search(tensor, functional, columns, starts, restarts, seed):
-    """Seeded maximization of |functional(e1..e4)| over stacks of rotations (n, p, 3, 3).
+def _search(tensor, functional, columns, restarts, seed):
+    """Seeded maximization of |functional(e1..e4)| over stacks of rotations (p, 3, 3).
 
     `columns` names the (rotation, column) of n1 and of n2 in a stack.  The
-    seed draws one Haar rotation R0; all starts are scored at once on
-    T(R0., R0., R0.), whose e1..e4 at (n1, n2) are T's at (R0 n1, R0 n2), and
-    the best `restarts` are polished together by :func:`_polish`.  Ties keep
-    index order, so more restarts only add rows.  Returns |functional| at the
-    best directions turned back by R0, those directions (n1, n2), the summed
+    seed draws one Haar rotation R0; the SAMPLES fixed starts of
+    :func:`_starts` are scored at once on T(R0., R0., R0.), whose e1..e4 at
+    (n1, n2) are T's at (R0 n1, R0 n2), by one product of their monomial
+    table with the coefficients of T(R0., R0., R0.), and the best `restarts`
+    are polished together by :func:`_polish`.  Ties keep index order, so
+    more restarts only add rows.  Returns |functional| at the best
+    directions turned back by R0, those directions (n1, n2), the summed
     polish iterations and the rows that ended within CONVERGENCE_ATOL of it.
     """
     check_seed(seed)
-    if not (isinstance(restarts, Integral) and 1 <= restarts <= len(starts)):
-        raise ValueError(f"restarts must be an integer in [1, {len(starts)}], got {restarts!r}")
+    if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
+        raise ValueError(f"restarts must be an integer in [1, {SAMPLES}], got {restarts!r}")
+    grid, orders, monomials = _starts(columns)
     r0 = haar_rotations(np.random.default_rng(seed))
     rotated = tensor_at_columns(tensor, r0)
-    scores = np.abs(functional(correlators_from_tensor(rotated, *_directions(starts, columns))))
-    rotations, values, iterations = _polish(
-        rotated, functional, columns, starts[_best_rows(scores, restarts)]
-    )
+    quad = (SCORE_TABLE @ rotated.reshape(27)).reshape(len(SLOTS), -1) @ monomials
+    rows = _best_rows(np.abs(functional(CorrelatorQuad(*quad))), restarts)
+    starts = np.stack([grid[order[rows]] for order in orders], axis=1)
+    rotations, values, iterations = _polish(rotated, functional, columns, starts)
     best = int(np.argmax(values))
     converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
     directions = tuple(r0 @ d for d in _directions(rotations[best], columns))
@@ -319,13 +369,14 @@ def _search(tensor, functional, columns, starts, restarts, seed):
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     """Multistart maximization of |I| over orthonormal frames, by :func:`_search`.
 
-    The starts are the rotations of START_GRID, which cover SO(3)/D2, with
-    (n1, n2) their first two columns; the polish stays on SO(3).
+    The starts are the cells of :func:`_start_grid`, which cover SO(3)/D2,
+    with (n1, n2) the first two columns of their rotations; the polish stays
+    on SO(3).
     `best_value` equals abs(eval_I(state, best_frame)).  Deterministic for a
     fixed (state, restarts, seed).
     """
     value, directions, iterations, converged = _search(
-        pauli_tensor(state), I_of, FRAME_COLUMNS, START_GRID[:, None], restarts, seed
+        pauli_tensor(state), I_of, FRAME_COLUMNS, restarts, seed
     )
     return OptimizationResult(
         best_value=value,
@@ -346,12 +397,11 @@ def maximize_mermin(state, restarts=100, seed=0):
     """Maximum of the linear Mermin combination over two unit directions, by :func:`_search`.
 
     The directions are independent, not orthogonal: each is the third column
-    of its own rotation, from the SAMPLES start pairs (START_GRID,
-    START_GRID[PAIRING]).  M3 is odd under (n1, n2) -> (-n1, -n2), so its
+    of its own rotation, from the SAMPLES start pairs (grid[i], grid[PAIRING[i]])
+    of :func:`_starts`.  M3 is odd under (n1, n2) -> (-n1, -n2), so its
     maximum is max |M3|.
     """
-    starts = np.stack((START_GRID, START_GRID[PAIRING]), axis=1)
-    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, starts, restarts, seed)[0]
+    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, restarts, seed)[0]
 
 
 def w_analytic_max():

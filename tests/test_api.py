@@ -66,6 +66,7 @@ DELETED = {
         "_stencil",
         "STENCILS",
         "STENCIL_STEP",
+        "START_GRID",
     ],
     ghzmeter.functional: ["lhv_identity_holds", "weyl_quad"],
     ghzmeter.cli: ["UsageError"],

@@ -15,7 +15,7 @@ from ghzmeter import (
 )
 from ghzmeter.correlators import tensor_at_columns
 from ghzmeter.linalg import SIGMA_X, max_norm
-from ghzmeter.optimize import START_GRID, haar_rotations, rotation_from_vector
+from ghzmeter.optimize import FRAME_COLUMNS, _starts, haar_rotations, rotation_from_vector
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
@@ -131,8 +131,9 @@ def assert_matches_operators(state, n1, n2):
 
 
 def test_correlators_score_batch_matches_operators(rng):
-    # the starts maximize_I scores in one call
-    assert_matches_operators(random_mixed_state(rng), START_GRID[..., 0], START_GRID[..., 1])
+    # the starts of maximize_I
+    grid = _starts(FRAME_COLUMNS)[0]
+    assert_matches_operators(random_mixed_state(rng), grid[..., 0], grid[..., 1])
 
 
 def test_correlators_stencil_batches_match_operators(rng):

@@ -268,6 +268,20 @@ def test_qutrit_ghz_scan_records_maximum():
     assert pair.symplectic != 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "make_state", [make_ghz, lambda d: haar_random_pure(d, 7)], ids=["ghz", "haar"]
+)
+def test_scan_equals_eval_Id_on_every_pair(d, make_state):
+    state = make_state(d)
+    best, best_pair, results = scan_qudit_pairs(state)
+    labels = list(itertools.product(range(d), repeat=2))
+    pairs = [QuditGenPair(d, g1, g2) for g1 in labels for g2 in labels]
+    assert list(results) == [pair for pair in pairs if pair.symplectic]
+    assert all(results[pair] == eval_Id(state, pair) for pair in results)
+    assert best == abs(results[best_pair]) == max(abs(v) for v in results.values())
+
+
 def test_qudit_product_residual_d2():
     # for d = 2 the actual triple-product phase is omega^{-s}, not omega^{2s};
     # the residual quantifies the stated identity rather than assuming it

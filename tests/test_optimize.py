@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import ghzmeter
 from ghzmeter import (
     OrthoFrame,
     QuantumState,
@@ -17,20 +22,27 @@ from ghzmeter import (
     maximize_I,
     w_analytic_max,
 )
-from ghzmeter.correlators import correlators_from_tensor, pauli_tensor, tensor_at_columns
+from ghzmeter.correlators import (
+    CorrelatorQuad,
+    correlators_from_tensor,
+    pauli_tensor,
+    tensor_at_columns,
+)
 from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
     FRAME_COLUMNS,
     GRID_CELLS,
     LADDER,
     MERMIN_COLUMNS,
-    PAIRING,
+    MONOMIALS,
     SAMPLES,
-    START_GRID,
+    SCORE_TABLE,
     _best_rows,
     _derivatives,
+    _directions,
     _ladder_steps,
     _search,
+    _starts,
     haar_rotations,
     maximize_mermin,
     rotation_from_vector,
@@ -83,10 +95,11 @@ def rodrigues(rotations):
 
 
 def test_start_grid_holds_the_rodrigues_cube_cells():
-    assert START_GRID.shape == (SAMPLES, 3, 3)
-    assert_rotations(START_GRID, 1e-15)
+    grid = _starts(FRAME_COLUMNS)[0]
+    assert grid.shape == (SAMPLES, 3, 3)
+    assert_rotations(grid, 1e-15)
     # each rotation's Rodrigues vector is a distinct cell centre of the cube [-1, 1]^3
-    cells = (rodrigues(Rotation.from_matrix(START_GRID)) + 1) * GRID_CELLS / 2 - 0.5
+    cells = (rodrigues(Rotation.from_matrix(grid)) + 1) * GRID_CELLS / 2 - 0.5
     assert np.max(np.abs(cells - np.round(cells))) < 1e-12
     assert len(np.unique(np.round(cells), axis=0)) == SAMPLES
     assert cells.min() > -0.5 and cells.max() < GRID_CELLS - 0.5
@@ -168,6 +181,67 @@ def test_chart_derivatives_match_central_differences(rng, functional, columns, m
     assert np.max(np.abs(value - np.abs(centre))) < 1e-12
     assert np.max(np.abs(g - sign[:, None] * grad)) < 1e-6
     assert np.max(np.abs(H - sign[:, None, None] * hess)) < 1e-6
+
+
+def monomials_of(n1, n2):
+    """MONOMIALS of directions n1, n2 of shape (k, 3), one row per monomial, by their factors."""
+    n = (n1, n2)
+    return np.array([np.prod([n[d][:, c] for d, c in factors], axis=0) for factors in MONOMIALS])
+
+
+def test_score_table_gives_the_cubic_contractions(rng):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    n1, n2 = np.moveaxis(haar_rotations(rng, (200,))[..., :2], -1, 0)
+    quad = (SCORE_TABLE @ tensor.reshape(27)).reshape(4, -1) @ monomials_of(n1, n2)
+    contract = "abc,ka,kb,kc->k"
+    want = [
+        np.einsum(contract, tensor, n1, n2, n2),
+        np.einsum(contract, tensor, n2, n1, n2),
+        np.einsum(contract, tensor, n2, n2, n1),
+        np.einsum(contract, tensor, n1, n1, n1),
+    ]
+    assert len(MONOMIALS) == 28
+    assert np.max(np.abs(quad - want)) < 1e-15
+
+
+def test_import_builds_no_start_table():
+    # the starts are built on the first search, so a process that never searches pays nothing
+    probe = (
+        "import ghzmeter, ghzmeter.cli; from ghzmeter import optimize; "
+        "ghzmeter.eval_I(ghzmeter.make_w(), ghzmeter.OrthoFrame([1, 0, 0], [0, 1, 0])); "
+        "print(optimize._starts.cache_info().currsize); "
+        "ghzmeter.maximize_I(ghzmeter.make_w(), 1); "
+        "print(optimize._starts.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize(
+    "functional, columns", [(I_of, FRAME_COLUMNS), (M3_of, MERMIN_COLUMNS)], ids=["I", "M3"]
+)
+def test_table_scores_match_contracted_scores(rng, functional, columns):
+    grid, orders, monomials = _starts(columns)
+    assert np.array_equal(monomials, monomials_of(*(grid[orders[r], :, c] for r, c in columns)))
+    starts = np.stack([grid[order] for order in orders], axis=1)
+    states = [make_ghz(2), make_w()] + [haar_random_pure(2, rng) for _ in range(20)]
+    for state in states + [random_mixed_state(rng) for _ in range(20)]:
+        rotated = tensor_at_columns(pauli_tensor(state), haar_rotations(rng))
+        quad = (SCORE_TABLE @ rotated.reshape(27)).reshape(4, -1) @ monomials
+        contracted = correlators_from_tensor(rotated, *_directions(starts, columns))
+        assert np.max(np.abs(quad - np.array(contracted))) < 1e-15
+        table, contracted = (np.abs(functional(CorrelatorQuad(*e))) for e in (quad, contracted))
+        # M3 sums the four correlators, so its rounding adds up theirs
+        assert np.max(np.abs(table - contracted)) < 2e-15
+        for count in (30, 300):
+            assert np.array_equal(_best_rows(table, count), _best_rows(contracted, count))
 
 
 @pytest.mark.parametrize("count", [1, 30, SAMPLES])
@@ -287,8 +361,7 @@ def test_mermin_w_maximum():
 def test_mermin_value_is_abs_M3_at_its_directions(rng, seed):
     state = random_mixed_state(rng)
     tensor = pauli_tensor(state)
-    starts = np.stack((START_GRID, START_GRID[PAIRING]), axis=1)
-    value, directions, _, _ = _search(tensor, M3_of, MERMIN_COLUMNS, starts, 30, seed)
+    value, directions, _, _ = _search(tensor, M3_of, MERMIN_COLUMNS, 30, seed)
     assert value == abs(M3_of(correlators_from_tensor(tensor, *directions)))
     assert value == maximize_mermin(state, 30, seed)
 
