@@ -1,7 +1,7 @@
 """Three-body Pauli correlations of a qubit state, their contraction to e1..e4,
 and the operator identities of a frame."""
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +22,30 @@ PAULI_STRINGS = np.einsum(
 # which of (n1, n2) fills each slot of T: e1 = T(n1, n2, n2), e2 = T(n2, n1, n2),
 # e3 = T(n2, n2, n1) and e4 = T(n1, n1, n1)
 SLOTS = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0))
+# the indices (u, v, w) of the 27 entries of a 3 x 3 x 3 tensor, in flattened order
+AXES = tuple(itertools.product(range(3), repeat=3))
+# the 28 monomials of (n1, n2) that e1..e4 are linear in, n1_a n2_b n2_c with b <= c and
+# n1_a n1_b n1_c with a <= b <= c, each as its sorted (direction, component) factors
+MONOMIALS = sorted({tuple(sorted(zip(slots, axes))) for slots in SLOTS for axes in AXES})
+# factor f of monomial j is row FACTORS[f, j] = 3 * direction + component of the stacked (n1, n2)
+FACTORS = np.array([[3 * d + c for d, c in factors] for factors in MONOMIALS]).T.copy()
+
+
+def _score_table():
+    """The fixed linear map from T (27,) to the coefficients of e1..e4 on MONOMIALS, (4 * 28, 27).
+
+    e_i = T(x, y, z) with (x, y, z) the directions at SLOTS[i], so the entry
+    T[u, v, w] adds to the coefficient of e_i on the monomial x_u y_v z_w.
+    """
+    index = {factors: j for j, factors in enumerate(MONOMIALS)}
+    table = np.zeros((len(SLOTS), len(MONOMIALS), 27))
+    for i, slots in enumerate(SLOTS):
+        for entry, axes in enumerate(AXES):
+            table[i, index[tuple(sorted(zip(slots, axes)))], entry] += 1.0
+    return table.reshape(-1, 27)
+
+
+SCORE_TABLE = _score_table()
 
 
 class CorrelatorQuad(NamedTuple):
@@ -48,11 +72,6 @@ def pauli_tensor(state):
     return t.real.reshape(3, 3, 3)
 
 
-def _dot3(x, y):
-    """Sum over the leading axis of length 3, elementwise in the rest."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
 def tensor_at_columns(tensor, c):
     """T(C_u, C_v, C_w) for the m columns C of `c` (..., n, m), shape (..., m, m, m).
 
@@ -67,37 +86,46 @@ def tensor_at_columns(tensor, c):
     return t.reshape(lead + (m, m, m))
 
 
-def correlators_from_tensor(tensor, n1, n2):
-    """(e1..e4) by contracting the Pauli tensor with the two directions.
+def monomials(n1, n2):
+    """MONOMIALS of the directions (n1, n2): (28,) for two 3-vectors, (28, ...) for (..., 3) arrays.
 
-    Two 3-vectors give numpy float scalars, read off at SLOTS from
-    :func:`tensor_at_columns` of C = [n1 | n2].  Directions of shape (..., 3)
-    give e1..e4 of shape (...), one entry per pair of rows, by one BLAS
-    product T(., ., d) for every column d of D = [n1 | n2] and multiply-adds
-    along the rows that contract the middle slot and the first; temporaries
-    stay linear in the number of rows.
+    Two 3-vectors take one gather of their stacked components.  Arrays are
+    broadcast and stacked as the contiguous rows of a (6, N) array, and the
+    monomials are filled row by row, so that no temporary exceeds a row.
     """
-    if np.ndim(n1) == np.ndim(n2) == 1:
-        t = tensor_at_columns(tensor, np.array((n1, n2)).T)
-        return CorrelatorQuad(*(t[slots] for slots in SLOTS))
+    shapes = np.shape(n1), np.shape(n2)
+    if shapes[0][-1:] != (3,) or shapes[1][-1:] != (3,):
+        raise ValueError(f"directions need a last axis of length 3, got {shapes[0]}, {shapes[1]}")
+    if len(shapes[0]) == len(shapes[1]) == 1:
+        return np.multiply.reduce(np.concatenate((n1, n2))[FACTORS])
     n1, n2 = np.broadcast_arrays(n1, n2)
-    shape = n1.shape[:-1]
-    rows = math.prod(shape)
-    # D = [n1 | n2], contiguous along the rows that the multiply-adds run over
-    d = np.empty((3, 2 * rows))
-    d[:, :rows] = n1.reshape(rows, 3).T
-    d[:, rows:] = n2.reshape(rows, 3).T
-    u, v = d[:, :rows], d[:, rows:]
-    # t[j, i, c] = T(e_i, e_j, d_c): middle slot leading, so _dot3 contracts it
-    t = (tensor.reshape(9, 3) @ d).reshape(3, 3, -1).swapaxes(0, 1)
-    t1, t2 = t[..., :rows], t[..., rows:]
-    quad = (
-        _dot3(u, _dot3(t2, v)),
-        _dot3(v, _dot3(t2, u)),
-        _dot3(v, _dot3(t1, v)),
-        _dot3(u, _dot3(t1, u)),
-    )
-    return CorrelatorQuad(*(e.reshape(shape) for e in quad))
+    v = np.empty((6, n1[..., 0].size))
+    v[:3], v[3:] = n1.reshape(-1, 3).T, n2.reshape(-1, 3).T
+    table = np.empty((len(MONOMIALS), v.shape[1]))
+    for row, a, b, c in zip(table, *FACTORS):
+        np.multiply(v[a], v[b], out=row)
+        row *= v[c]
+    return table.reshape((len(MONOMIALS),) + n1.shape[:-1])
+
+
+def correlators_from_monomials(tensor, table):
+    """(e1..e4) of the Pauli tensor at the direction pairs whose MONOMIALS are `table`, (28, ...).
+
+    e1..e4 are linear in the monomials, with coefficients SCORE_TABLE @ T, so
+    one product gives them, each of the shape of `table`'s trailing axes.
+    """
+    quad = SCORE_TABLE.dot(tensor.reshape(27)).reshape(len(SLOTS), len(MONOMIALS))
+    quad = quad.dot(table.reshape(len(MONOMIALS), -1))
+    return CorrelatorQuad(*quad.reshape((len(SLOTS),) + table.shape[1:]))
+
+
+def correlators_from_tensor(tensor, n1, n2):
+    """(e1..e4) of the Pauli tensor at two directions, by :func:`monomials`.
+
+    Two 3-vectors give numpy float scalars.  Directions of shape (..., 3)
+    broadcast and give e1..e4 of their leading shape, one per pair of rows.
+    """
+    return correlators_from_monomials(tensor, monomials(n1, n2))
 
 
 @dataclass(frozen=True)

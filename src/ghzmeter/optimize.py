@@ -1,6 +1,5 @@
 """Maximization of |I| over orthonormal frames and related numerical probes."""
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from numbers import Integral
@@ -8,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
-from .correlators import tensor_at_columns
+from .correlators import SLOTS, CorrelatorQuad, correlators_from_monomials
+from .correlators import correlators_from_tensor, monomials, pauli_tensor, tensor_at_columns
 from .functional import I_of, M3_of, w_reduced_I
 from .linalg import OrthoFrame
 from .states import QuantumState, apply_local_unitaries, check_seed, haar_random_unitary
@@ -102,10 +101,6 @@ def _start_grid(cells):
     return rotation_from_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
 
 
-# a shuffle: pairing each cell r with -r left M3 0.13 short at 60 restarts on some states
-PAIRING = np.random.default_rng(0).permutation(SAMPLES)
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     best_value: float
@@ -163,6 +158,7 @@ def _column_jet(p, rotation, column):
     return Jet(value, grad, hess)
 
 
+@cache
 def _chart_table(columns):
     """The fixed linear map from T' to the jets of e1..e4 in the body chart.
 
@@ -171,7 +167,7 @@ def _chart_table(columns):
     (:func:`_column_jet`), so each e_i = T(x, y, z) has the jet
     sum over (u, v, w) of T'[u, v, w] x_u y_v z_w.  Returns shape
     (4, 1 + m + m*m, m**3): per correlator, the value, the gradient and the
-    flattened Hessian as rows over the T' entries.
+    flattened Hessian as rows over the T' entries, built on the first search.
     """
     p = 1 + max(r for r, _ in columns)
     m = 3 * p
@@ -189,53 +185,24 @@ def _chart_table(columns):
     return np.stack(table)
 
 
-CHART_TABLES = {columns: _chart_table(columns) for columns in (FRAME_COLUMNS, MERMIN_COLUMNS)}
-
-# the indices (u, v, w) of the 27 entries of a 3 x 3 x 3 tensor, in flattened order
-AXES = tuple(itertools.product(range(3), repeat=3))
-# the 28 monomials of (n1, n2) that e1..e4 are linear in, n1_a n2_b n2_c with b <= c and
-# n1_a n1_b n1_c with a <= b <= c, each as its sorted (direction, component) factors
-MONOMIALS = sorted({tuple(sorted(zip(slots, axes))) for slots in SLOTS for axes in AXES})
-
-
-def _score_table():
-    """The fixed linear map from T' (27,) to the coefficients of e1..e4 on MONOMIALS, (4 * 28, 27).
-
-    e_i = T'(x, y, z) with (x, y, z) the directions at SLOTS[i], so the entry
-    T'[u, v, w] adds to the coefficient of e_i on the monomial x_u y_v z_w.
-    """
-    index = {factors: j for j, factors in enumerate(MONOMIALS)}
-    table = np.zeros((len(SLOTS), len(MONOMIALS), 27))
-    for i, slots in enumerate(SLOTS):
-        for entry, axes in enumerate(AXES):
-            table[i, index[tuple(sorted(zip(slots, axes)))], entry] += 1.0
-    return table.reshape(-1, 27)
-
-
-SCORE_TABLE = _score_table()
-
-
 @cache
 def _starts(columns):
     """The fixed starts of a search over `columns`, built on the first search that needs them.
 
     Start i is the stack of rotations grid[order[i]] over the p row orders:
-    the identity and, for a second rotation, PAIRING.  Returns the grid of
-    :func:`_start_grid`, the orders and the MONOMIALS of the starts'
-    directions, one row per monomial (28, SAMPLES), filled row by row so
-    that no temporary is larger than a row.  The starts' e1..e4 on T' are
-    then the rows of (SCORE_TABLE @ T') @ monomials.
+    the identity and, for a second rotation, a fixed shuffle.  Returns the
+    grid of :func:`_start_grid`, the orders and the :func:`monomials` of the
+    starts' directions (28, SAMPLES), from which
+    :func:`correlators_from_monomials` gives their e1..e4 on any tensor.
     """
     grid = _start_grid(GRID_CELLS)
-    orders = (np.arange(SAMPLES), PAIRING)[: 1 + max(r for r, _ in columns)]
-    directions = [grid[orders[r], :, c].T for r, c in columns]
-    monomials = np.empty((len(MONOMIALS), SAMPLES))
-    for row, ((d0, c0), (d1, c1), (d2, c2)) in zip(monomials, MONOMIALS):
-        np.multiply(directions[d0][c0], directions[d1][c1], out=row)
-        row *= directions[d2][c2]
+    # pairing each cell r with -r left M3 0.13 short at 60 restarts on some states
+    pairing = np.random.default_rng(0).permutation(SAMPLES)
+    orders = (np.arange(SAMPLES), pairing)[: 1 + max(r for r, _ in columns)]
+    table = monomials(*(grid[orders[r], :, c] for r, c in columns))
     # every search of the process shares them
-    grid.flags.writeable = monomials.flags.writeable = False
-    return grid, orders, monomials
+    grid.flags.writeable = table.flags.writeable = False
+    return grid, orders, table
 
 
 def _directions(rotations, columns):
@@ -254,7 +221,7 @@ def _derivatives(tensor, functional, columns, rotations):
     k, p = rotations.shape[:2]
     m = 3 * p
     t = tensor_at_columns(tensor, rotations.transpose(0, 2, 1, 3).reshape(k, 3, m))
-    table = CHART_TABLES[columns]
+    table = _chart_table(columns)
     jets = (table.reshape(-1, m**3) @ t.reshape(k, m**3).T).reshape(4, -1, k)
     quad = (Jet(j[0], j[1 : m + 1], j[m + 1 :].reshape(m, m, k)) for j in jets)
     f = functional(CorrelatorQuad(*quad))
@@ -342,21 +309,20 @@ def _search(tensor, functional, columns, restarts, seed):
     `columns` names the (rotation, column) of n1 and of n2 in a stack.  The
     seed draws one Haar rotation R0; the SAMPLES fixed starts of
     :func:`_starts` are scored at once on T(R0., R0., R0.), whose e1..e4 at
-    (n1, n2) are T's at (R0 n1, R0 n2), by one product of their monomial
-    table with the coefficients of T(R0., R0., R0.), and the best `restarts`
-    are polished together by :func:`_polish`.  Ties keep index order, so
-    more restarts only add rows.  Returns |functional| at the best
-    directions turned back by R0, those directions (n1, n2), the summed
-    polish iterations and the rows that ended within CONVERGENCE_ATOL of it.
+    (n1, n2) are T's at (R0 n1, R0 n2), by :func:`correlators_from_monomials`
+    of their monomial table, and the best `restarts` are polished together
+    by :func:`_polish`.  Ties keep index order, so more restarts only add
+    rows.  Returns |functional| at the best directions turned back by R0,
+    those directions (n1, n2), the summed polish iterations and the rows
+    that ended within CONVERGENCE_ATOL of it.
     """
     check_seed(seed)
     if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
         raise ValueError(f"restarts must be an integer in [1, {SAMPLES}], got {restarts!r}")
-    grid, orders, monomials = _starts(columns)
+    grid, orders, table = _starts(columns)
     r0 = haar_rotations(np.random.default_rng(seed))
     rotated = tensor_at_columns(tensor, r0)
-    quad = (SCORE_TABLE @ rotated.reshape(27)).reshape(len(SLOTS), -1) @ monomials
-    rows = _best_rows(np.abs(functional(CorrelatorQuad(*quad))), restarts)
+    rows = _best_rows(np.abs(functional(correlators_from_monomials(rotated, table))), restarts)
     starts = np.stack([grid[order[rows]] for order in orders], axis=1)
     rotations, values, iterations = _polish(rotated, functional, columns, starts)
     best = int(np.argmax(values))
@@ -397,7 +363,7 @@ def maximize_mermin(state, restarts=100, seed=0):
     """Maximum of the linear Mermin combination over two unit directions, by :func:`_search`.
 
     The directions are independent, not orthogonal: each is the third column
-    of its own rotation, from the SAMPLES start pairs (grid[i], grid[PAIRING[i]])
+    of its own rotation, from the SAMPLES start pairs (grid[i], grid[pairing[i]])
     of :func:`_starts`.  M3 is odd under (n1, n2) -> (-n1, -n2), so its
     maximum is max |M3|.
     """

@@ -56,7 +56,7 @@ DELETED = {
         "shift_matrix",
         "clock_matrix",
     ],
-    ghzmeter.correlators: ["CONTRACT"],
+    ghzmeter.correlators: ["CONTRACT", "_dot3"],
     ghzmeter.optimize: [
         "_rotated",
         "frame_from_angles",
@@ -67,6 +67,12 @@ DELETED = {
         "STENCILS",
         "STENCIL_STEP",
         "START_GRID",
+        "AXES",
+        "MONOMIALS",
+        "_score_table",
+        "SCORE_TABLE",
+        "CHART_TABLES",
+        "PAIRING",
     ],
     ghzmeter.functional: ["lhv_identity_holds", "weyl_quad"],
     ghzmeter.cli: ["UsageError"],

@@ -126,8 +126,32 @@ def operator_correlators(state, n1, n2):
 
 def assert_matches_operators(state, n1, n2):
     batch = correlators_from_tensor(pauli_tensor(state), n1, n2)
+    n1, n2 = np.broadcast_arrays(n1, n2)
     assert all(e.shape == n1.shape[:-1] for e in batch)
     assert np.max(np.abs(np.array(batch) - operator_correlators(state, n1, n2))) < 1e-12
+
+
+def random_directions(rng, shape):
+    v = rng.standard_normal(shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_correlators_broadcast_directions(rng):
+    state = random_mixed_state(rng)
+    one, rows = random_directions(rng, ()), random_directions(rng, (6,))
+    assert_matches_operators(state, one, rows)
+    assert_matches_operators(state, rows, one)
+    assert_matches_operators(state, random_directions(rng, (2, 5)), random_directions(rng, (2, 5)))
+    assert_matches_operators(state, one, random_directions(rng, (2, 5)))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (5, 4)])
+def test_correlators_reject_directions_without_three_components(rng, shape):
+    tensor = pauli_tensor(random_mixed_state(rng))
+    bad, good = np.ones(shape), random_directions(rng, shape[:-1])
+    for n1, n2 in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="last axis of length 3"):
+            correlators_from_tensor(tensor, n1, n2)
 
 
 def test_correlators_score_batch_matches_operators(rng):

@@ -23,7 +23,11 @@ from ghzmeter import (
     w_analytic_max,
 )
 from ghzmeter.correlators import (
+    MONOMIALS,
+    SCORE_TABLE,
+    SLOTS,
     CorrelatorQuad,
+    correlators_from_monomials,
     correlators_from_tensor,
     pauli_tensor,
     tensor_at_columns,
@@ -34,9 +38,7 @@ from ghzmeter.optimize import (
     GRID_CELLS,
     LADDER,
     MERMIN_COLUMNS,
-    MONOMIALS,
     SAMPLES,
-    SCORE_TABLE,
     _best_rows,
     _derivatives,
     _directions,
@@ -205,13 +207,15 @@ def test_score_table_gives_the_cubic_contractions(rng):
 
 
 def test_import_builds_no_start_table():
-    # the starts are built on the first search, so a process that never searches pays nothing
+    # the starts, their shuffle and the chart tables are built on the first search,
+    # so a process that never searches pays nothing, not even the import of numpy.random
     probe = (
-        "import ghzmeter, ghzmeter.cli; from ghzmeter import optimize; "
+        "import sys, ghzmeter, ghzmeter.cli; from ghzmeter import optimize as o; "
         "ghzmeter.eval_I(ghzmeter.make_w(), ghzmeter.OrthoFrame([1, 0, 0], [0, 1, 0])); "
-        "print(optimize._starts.cache_info().currsize); "
+        "sizes = lambda: [f.cache_info().currsize for f in (o._starts, o._chart_table)]; "
+        "print(*sizes(), 'numpy.random' in sys.modules); "
         "ghzmeter.maximize_I(ghzmeter.make_w(), 1); "
-        "print(optimize._starts.cache_info().currsize)"
+        "print(*sizes())"
     )
     src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
     done = subprocess.run(
@@ -221,7 +225,7 @@ def test_import_builds_no_start_table():
         text=True,
         check=True,
     )
-    assert done.stdout.split() == ["0", "1"]
+    assert done.stdout.split() == ["0", "0", "False", "1", "1"]
 
 
 @pytest.mark.parametrize(
@@ -231,11 +235,18 @@ def test_table_scores_match_contracted_scores(rng, functional, columns):
     grid, orders, monomials = _starts(columns)
     assert np.array_equal(monomials, monomials_of(*(grid[orders[r], :, c] for r, c in columns)))
     starts = np.stack([grid[order] for order in orders], axis=1)
+    n = _directions(starts, columns)
     states = [make_ghz(2), make_w()] + [haar_random_pure(2, rng) for _ in range(20)]
     for state in states + [random_mixed_state(rng) for _ in range(20)]:
         rotated = tensor_at_columns(pauli_tensor(state), haar_rotations(rng))
-        quad = (SCORE_TABLE @ rotated.reshape(27)).reshape(4, -1) @ monomials
-        contracted = correlators_from_tensor(rotated, *_directions(starts, columns))
+        quad = np.array(correlators_from_monomials(rotated, monomials))
+        # an independent contraction: one einsum per correlator, its slots filled as SLOTS
+        # says, in extended precision and then rounded, so that its own rounding stays small
+        wide = [x.astype(np.longdouble) for x in (rotated, *n)]
+        contracted = [
+            np.einsum("abc,ka,kb,kc->k", wide[0], *(wide[1 + d] for d in slots)).astype(float)
+            for slots in SLOTS
+        ]
         assert np.max(np.abs(quad - np.array(contracted))) < 1e-15
         table, contracted = (np.abs(functional(CorrelatorQuad(*e))) for e in (quad, contracted))
         # M3 sums the four correlators, so its rounding adds up theirs
