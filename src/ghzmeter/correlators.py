@@ -146,12 +146,10 @@ def verify_identities(frame):
     probe degenerate frames too.
     """
     c, m = frame.c, np.cross(frame.n1, frame.n2)
-    s1 = spin_observable(frame.n1)
-    s2 = spin_observable(frame.n2)
-    o1 = kron(s1, s2, s2)
-    o2 = kron(s2, s1, s2)
-    o3 = kron(s2, s2, s1)
-    o4 = kron(s1, s1, s1)
+    s = (spin_observable(frame.n1), spin_observable(frame.n2))
+    s1, s2 = s
+    # O1 = s1 x s2 x s2, O2 = s2 x s1 x s2, O3 = s2 x s2 x s1 and O4 = s1 x s1 x s1
+    o1, o2, o3, o4 = (kron(*(s[k] for k in slots)) for slots in SLOTS)
     m_sigma = m[0] * PAULIS[0] + m[1] * PAULIS[1] + m[2] * PAULIS[2]
 
     o1o2 = o1 @ o2

@@ -1,6 +1,7 @@
 """The multiplicative GHZ functional, its closed forms, and the qudit version."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -8,8 +9,8 @@ import numpy as np
 
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .correlators import tensor_at_columns
-from .linalg import max_norm, symplectic_form, weyl_operator
-from .states import StateError
+from .linalg import ATOL, max_norm, symplectic_form, weyl_operator
+from .states import NORM_ATOL, StateError
 
 
 def I_of(e):
@@ -39,19 +40,22 @@ def mermin_M3(state, frame):
 def lhv_oracle():
     """Values of I attainable by deterministic local hidden-variable models.
 
-    Enumerates all 64 assignments A(n1), A(n2), B(n1), B(n2), C(n1), C(n2)
-    in {-1, +1}, where e1..e4 are A1*B2*C2, A2*B1*C2, A2*B2*C1 and A1*B1*C1,
-    and returns the set of values of I they attain.
+    Enumerates all 64 assignments A = (A(n1), A(n2)), B and C likewise, in
+    {-1, +1}, where e_i = A[i] * B[j] * C[k] for (i, j, k) in SLOTS, and
+    returns the set of values of I they attain.
     """
+    signs = list(itertools.product((-1, 1), repeat=2))
     return {
-        I_of(CorrelatorQuad(a1 * b2 * c2, a2 * b1 * c2, a2 * b2 * c1, a1 * b1 * c1))
-        for a1, a2, b1, b2, c1, c2 in itertools.product((-1, 1), repeat=6)
+        I_of(CorrelatorQuad(*(a[i] * b[j] * c[k] for i, j, k in SLOTS)))
+        for a, b, c in itertools.product(signs, repeat=3)
     }
 
 
 def closed_form_from_mu(mu):
-    """I at the canonical frame as a function of mu = lambda0*lambda4: 8*mu^3 + 2*mu."""
-    return 2.0 * mu * (4.0 * mu**2 + 1.0)
+    """I_of at the canonical correlators of :func:`acin_correlators`: 8*mu^3 + 2*mu."""
+    if not abs(mu) <= 0.5 + NORM_ATOL:
+        raise ValueError(f"mu = lambda0*lambda4 must be finite with |mu| <= 1/2, got {mu!r}")
+    return I_of(CorrelatorQuad(-2.0 * mu, -2.0 * mu, -2.0 * mu, 2.0 * mu))
 
 
 def acin_closed_form(params):
@@ -66,30 +70,35 @@ def acin_correlators(params):
 
 
 def schmidt_subfamily_I(beta):
-    """I at the canonical frame on cos(b)|000> + sin(b)|111>: sin^3(2b) + sin(2b)."""
-    s = np.sin(2.0 * beta)
-    return s**3 + s
+    """I at the canonical frame on cos(b)|000> + sin(b)|111>, of mu = sin(2b)/2."""
+    angle = 2.0 * float(beta)
+    if not math.isfinite(angle):
+        raise ValueError(f"beta must be a finite angle, got {beta!r}")
+    return closed_form_from_mu(np.sin(angle) / 2.0)
 
 
 def tau3_relation(tau3):
-    """I at the canonical frame as a function of the three-tangle: sqrt(t3)*(t3 + 1)."""
+    """I at the canonical frame of the three-tangle t3 = 4*mu^2: sqrt(t3)*(t3 + 1)."""
     if not 0.0 <= tau3 <= 1.0:
         raise ValueError(f"three-tangle must lie in [0, 1], got {tau3!r}")
-    return np.sqrt(tau3) * (tau3 + 1.0)
+    return closed_form_from_mu(np.sqrt(tau3) / 2.0)
 
 
-def w_reduced_I(a3, b3, atol=1e-12):
+def w_reduced_I(a3, b3):
     """I on the W state for an orthogonal frame with z-projections (a3, b3).
 
     Feasibility requires a3^2 + b3^2 <= 1 (the two orthonormal directions
-    cannot both hug the z axis).
+    cannot both hug the z axis), of every element when a3, b3 are arrays.
+    Products, not powers, round alike on arrays and scalars.
     """
-    if not a3**2 + b3**2 <= 1.0 + atol:
+    with np.errstate(over="ignore"):  # an overflowing square is infeasible
+        feasible = np.all(np.square(a3) + np.square(b3) <= 1.0 + ATOL)
+    if not feasible:
         raise ValueError(
-            f"no orthogonal frame has z-projections ({a3!r}, {b3!r}): "
-            "a3^2 + b3^2 must be <= 1"
+            f"no orthogonal frame has z-projections ({a3!r}, {b3!r}): a3^2 + b3^2 must be <= 1"
         )
-    return a3 * (2.0 - 3.0 * a3**2) - a3**3 * (2.0 / 3.0 - 3.0 * b3**2) ** 3
+    a3_squared, t = a3 * a3, 2.0 / 3.0 - 3.0 * (b3 * b3)
+    return a3 * (2.0 - 3.0 * a3_squared) - (a3_squared * a3) * (t * t * t)
 
 
 @dataclass(frozen=True)
@@ -125,12 +134,13 @@ def qudit_product_residual(pair):
     one; Weyl products are monomial, so |S_s| <= 2d.  The identity is only
     claimed when 2*g2 = 0 mod d, so the residual is reported, not asserted.
     """
-    w1, w2 = (weyl_operator(pair.d, *g) for g in (pair.g1, pair.g2))
-    lhs = (w1 @ w2 @ w2, w2 @ w1 @ w2, w2 @ w2 @ w1)
-    support = [(a != 0) | (w1 != 0) for a in lhs]
+    w = [weyl_operator(pair.d, *g) for g in (pair.g1, pair.g2)]
+    lhs = [w[i] @ w[j] @ w[k] for i, j, k in zip(*SLOTS[:3])]
+    rhs = [w[i] for i in SLOTS[3]]
+    support = [(a != 0) | (b != 0) for a, b in zip(lhs, rhs)]
     phase = pair.omega ** (2 * pair.symplectic)
     residual = np.einsum("i,j,k->ijk", *(a[s] for a, s in zip(lhs, support)))
-    residual -= phase * np.einsum("i,j,k->ijk", *(w1[s] for s in support))
+    residual -= phase * np.einsum("i,j,k->ijk", *(b[s] for b, s in zip(rhs, support)))
     return max_norm(residual)
 
 
@@ -172,7 +182,7 @@ def _Id_of(state, pair, w):
     """I_d of `pair` from its single-site operators w = (W(g1), W(g2)), shape (2, d, d)."""
     e = weyl_correlators(state, w)
     g1, g2, g3, g4 = (complex(e[slots]) for slots in SLOTS)
-    return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
+    return I_of(CorrelatorQuad(pair.omega ** (2 * pair.symplectic) * g1, g2, g3, g4))
 
 
 def scan_qudit_pairs(state):

@@ -36,14 +36,14 @@ def max_norm(m):
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def unit_vector(n, atol=ATOL):
+def unit_vector(n):
     """Validate and return a real unit 3-vector as a float array."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"direction must be a real 3-vector, got shape {n.shape}")
     # hypot scales its arguments, so a huge entry gives its length, not an overflow warning
     norm = math.hypot(*n)
-    if not abs(norm - 1.0) < atol:
+    if not abs(norm - 1.0) < ATOL:
         raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
     return n
 

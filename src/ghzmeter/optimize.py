@@ -375,36 +375,27 @@ def w_analytic_max():
 
     The stationarity condition in v singles out the branches v = 0 and
     v^2 = 2/9, plus the disc boundary; each branch is scanned on a fine
-    grid together with its analytic critical points.  Returns
+    grid, as one array, together with its analytic critical points.  Returns
     (max |f|, argmax list, per-branch maxima).
     """
-
-    def f(u, v):
-        return -w_reduced_I(u, v)
-
     branch_maxima = {}
 
     # Branch v = 0: f = (89/27) u^3 - 2u on u in [-1, 1].
     us = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0]])
-    vals = np.abs([f(u, 0.0) for u in us])
-    branch_maxima["v=0"] = float(np.max(vals))
+    branch_maxima["v=0"] = float(np.max(np.abs(w_reduced_I(us, 0.0))))
 
     # Branch v^2 = 2/9: f = -u (2 - 3u^2) on u^2 <= 7/9, extremal at u^2 = 2/9.
-    v = np.sqrt(2.0 / 9.0)
-    umax = np.sqrt(7.0 / 9.0)
-    us = np.concatenate(
-        [np.linspace(-umax, umax, 2001), [-np.sqrt(2.0 / 9.0), np.sqrt(2.0 / 9.0)]]
-    )
-    branch_maxima["v^2=2/9"] = float(np.max(np.abs([f(u, v) for u in us])))
+    v, umax = np.sqrt(2.0 / 9.0), np.sqrt(7.0 / 9.0)
+    us = np.concatenate([np.linspace(-umax, umax, 2001), [-v, v]])
+    branch_maxima["v^2=2/9"] = float(np.max(np.abs(w_reduced_I(us, v))))
 
     # Disc boundary u^2 + v^2 = 1.
     us = np.linspace(-1.0, 1.0, 2001)
-    branch_maxima["boundary"] = float(
-        np.max(np.abs([f(u, np.sqrt(max(0.0, 1.0 - u * u))) for u in us]))
-    )
+    vs = np.sqrt(np.maximum(0.0, 1.0 - us * us))
+    branch_maxima["boundary"] = float(np.max(np.abs(w_reduced_I(us, vs))))
 
     best = max(branch_maxima.values())
-    argmax = [(u, 0.0) for u in (1.0, -1.0) if abs(abs(f(u, 0.0)) - best) < 1e-12]
+    argmax = [(u, 0.0) for u in (1.0, -1.0) if abs(abs(w_reduced_I(u, 0.0)) - best) < 1e-12]
     return best, argmax, branch_maxima
 
 
@@ -414,19 +405,20 @@ class ConvexityReport:
     mixture_values: tuple
     chord_values: tuple
     max_violation: float
-    tolerance: float
 
 
-def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0, tolerance=1e-4):
+def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0):
     """Compare the indicator on mixtures against the convex chord.
 
-    Positive ``max_violation`` beyond the tolerance would be a convexity
-    breach (reported as a finding, never raised).
+    Positive ``max_violation`` beyond the searches' slack would be a
+    convexity breach (reported as a finding, never raised).  Every mixing
+    weight in ``p_grid`` must lie in [0, 1].
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 11)
-    if not len(p_grid):
-        raise ValueError("p_grid must hold at least one mixing weight")
+    weights = np.asarray(p_grid, dtype=float)
+    if not (weights.size and np.all((0.0 <= weights) & (weights <= 1.0))):
+        raise ValueError(f"p_grid must hold mixing weights in [0, 1], got {weights.tolist()!r}")
     d1, d2 = rho1.density_matrix(), rho2.density_matrix()
     end1 = e_ghz(rho1, restarts=restarts, seed=seed)
     end2 = e_ghz(rho2, restarts=restarts, seed=seed + 1)
@@ -441,7 +433,6 @@ def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0, tolerance=1e-4
         mixture_values=tuple(mixture_values),
         chord_values=tuple(chord_values),
         max_violation=float(violation),
-        tolerance=tolerance,
     )
 
 

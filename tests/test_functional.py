@@ -142,6 +142,21 @@ def test_w_reduced_endpoints():
         w_reduced_I(np.nan, 0.0)
 
 
+def test_w_reduced_on_arrays_is_the_scalar_calls():
+    rng = np.random.default_rng(7)
+    a3, b3 = rng.uniform(-0.7, 0.7, (2, 2000))
+    values = w_reduced_I(a3, b3)
+    assert values.shape == (2000,)
+    scalars = [w_reduced_I(a, b) for a, b in zip(a3.tolist(), b3.tolist())]
+    assert np.array_equal(values, scalars)
+    assert np.array_equal(w_reduced_I(a3, 0.25), [w_reduced_I(a, 0.25) for a in a3.tolist()])
+    # one infeasible element among 2000 feasible ones rejects the call
+    for bad in ((0.9, 0.9), (np.nan, 0.0), (0.0, np.inf)):
+        a3[1234], b3[1234] = bad
+        with pytest.raises(ValueError):
+            w_reduced_I(a3, b3)
+
+
 def test_w_reduced_secondary_branch():
     # at b3^2 = 2/9 the extremal |I| over feasible a3 is 4*sqrt(2)/9
     b3 = np.sqrt(2 / 9)

@@ -14,9 +14,13 @@ from ghzmeter import (
     QuantumState,
     QuditGenPair,
     StateError,
+    closed_form_from_mu,
     haar_random_pure,
     make_ghz,
     maximally_mixed,
+    schmidt_subfamily_I,
+    tau3_relation,
+    w_reduced_I,
     weyl_operator,
 )
 from ghzmeter.cli import NAMED_STATES, main
@@ -98,6 +102,28 @@ def test_acin_params_is_valid_or_raises(lambdas, phi):
         return
     assert np.all(np.isfinite(params.lambdas)) and abs(np.sum(params.lambdas**2) - 1) < 1e-9
     assert 0 <= params.phi <= np.pi
+
+
+# the closed forms on the canonical family: |I| <= 2 wherever they accept the input
+@settings(max_examples=200, deadline=None)
+@given(x=FLOATS | st.floats(-0.6, 0.6))
+def test_closed_forms_are_valid_or_raise(x):
+    for closed_form in (closed_form_from_mu, schmidt_subfamily_I, tau3_relation):
+        try:
+            value = closed_form(x)
+        except ValueError:
+            continue
+        assert np.isfinite(value) and abs(value) <= 2 + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(a3=FLOATS | st.floats(-1, 1), b3=FLOATS | st.floats(-1, 1))
+def test_w_reduced_I_is_valid_or_raises(a3, b3):
+    try:
+        value = w_reduced_I(a3, b3)
+    except ValueError:
+        return
+    assert np.isfinite(value) and abs(value) <= 2
 
 
 NUMBERS = st.integers(-1, 4) | st.floats(-1, 5) | FLOATS | st.integers(-(2**70), 2**70)
