@@ -9,7 +9,6 @@ from .correlators import (
 from .functional import (
     QuditGenPair,
     acin_closed_form,
-    acin_correlators,
     closed_form_from_mu,
     eval_I,
     eval_Id,

@@ -14,9 +14,18 @@ from .correlators import correlators_from_tensor, pauli_tensor
 from .linalg import OrthoFrame
 from .states import StateError
 
-NAMED_STATES = ("ghz", "w", "bisep", "product", "mixed")
-
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+# each --state name and the qubit state it builds
+NAMED_STATE_MAKERS = {
+    "ghz": lambda: states.make_ghz(2),
+    "w": states.make_w,
+    "bisep": lambda: states.make_biseparable("A|BC", [1.0, 0.0], PHI_PLUS),
+    "product": lambda: states.make_product([1, 0], [1, 0], [1, 0]),
+    "mixed": lambda: states.maximally_mixed(2),
+}
+# a sequence: Hypothesis's sampled_from, like argparse's choices, takes it and not a dict
+NAMED_STATES = tuple(NAMED_STATE_MAKERS)
 
 
 def default_seed():
@@ -28,17 +37,9 @@ def default_seed():
 
 
 def make_named_state(name):
-    if name == "ghz":
-        return states.make_ghz(2)
-    if name == "w":
-        return states.make_w()
-    if name == "bisep":
-        return states.make_biseparable("A|BC", [1.0, 0.0], PHI_PLUS)
-    if name == "product":
-        return states.make_product([1, 0], [1, 0], [1, 0])
-    if name == "mixed":
-        return states.maximally_mixed(2)
-    raise ValueError(f"unknown state {name!r}; valid names: {', '.join(NAMED_STATES)}")
+    if name not in NAMED_STATE_MAKERS:
+        raise ValueError(f"unknown state {name!r}; valid names: {', '.join(NAMED_STATES)}")
+    return NAMED_STATE_MAKERS[name]()
 
 
 def resolve_state(args):

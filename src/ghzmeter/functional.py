@@ -9,8 +9,8 @@ import numpy as np
 
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .correlators import tensor_at_columns
-from .linalg import ATOL, max_norm, symplectic_form, weyl_operator
-from .states import NORM_ATOL, StateError
+from .linalg import ATOL, max_norm, symplectic_form, weyl_operator, weyl_root
+from .states import NORM_ATOL, StateError, check_local_dim
 
 
 def I_of(e):
@@ -52,7 +52,7 @@ def lhv_oracle():
 
 
 def closed_form_from_mu(mu):
-    """I_of at the canonical correlators of :func:`acin_correlators`: 8*mu^3 + 2*mu."""
+    """I_of at the canonical correlators e1 = e2 = e3 = -2mu, e4 = 2mu: 8*mu^3 + 2*mu."""
     if not abs(mu) <= 0.5 + NORM_ATOL:
         raise ValueError(f"mu = lambda0*lambda4 must be finite with |mu| <= 1/2, got {mu!r}")
     return I_of(CorrelatorQuad(-2.0 * mu, -2.0 * mu, -2.0 * mu, 2.0 * mu))
@@ -61,12 +61,6 @@ def closed_form_from_mu(mu):
 def acin_closed_form(params):
     """Closed-form I(x, y) on the canonical family; depends only on lambda0*lambda4."""
     return closed_form_from_mu(params.mu)
-
-
-def acin_correlators(params):
-    """(xxx, xyy, yxy, yyx) correlators of the canonical state: (2mu, -2mu, -2mu, -2mu)."""
-    mu = params.mu
-    return (2.0 * mu, -2.0 * mu, -2.0 * mu, -2.0 * mu)
 
 
 def schmidt_subfamily_I(beta):
@@ -103,15 +97,14 @@ def w_reduced_I(a3, b3):
 
 @dataclass(frozen=True)
 class QuditGenPair:
-    """Two Weyl labels g1, g2 in Z_d^2 with their symplectic pairing."""
+    """Two Weyl labels g1, g2 in Z_d^2, d a state's local dimension, and their pairing."""
 
     d: int
     g1: tuple
     g2: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.d, Integral) and self.d >= 2):
-            raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
+        check_local_dim(self.d)
         for g in (self.g1, self.g2):
             if len(g) != 2 or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
                 raise ValueError(f"generator {g!r} is not a pair of integers mod {self.d}")
@@ -121,12 +114,13 @@ class QuditGenPair:
         return symplectic_form(self.d, self.g1, self.g2)
 
     @property
-    def omega(self):
-        return np.exp(2j * np.pi / self.d)
+    def phase(self):
+        """exp(4*pi*i*s/d) = tau**(4s) for s = <g1, g2>, rounded as a Weyl operator entry."""
+        return weyl_root(self.d, 4 * self.symplectic)
 
 
 def qudit_product_residual(pair):
-    """Max-norm residual of G1 G2 G3 - omega^(2<g1,g2>) G4, formed site by site.
+    """Max-norm residual of G1 G2 G3 - pair.phase * G4, formed site by site.
 
     G1 G2 G3 = (W1 W2 W2) x (W2 W1 W2) x (W2 W2 W1) and G4 = W1 x W1 x W1.
     Both sides vanish outside S_1 x S_2 x S_3, S_s the union of the supports
@@ -138,9 +132,8 @@ def qudit_product_residual(pair):
     lhs = [w[i] @ w[j] @ w[k] for i, j, k in zip(*SLOTS[:3])]
     rhs = [w[i] for i in SLOTS[3]]
     support = [(a != 0) | (b != 0) for a, b in zip(lhs, rhs)]
-    phase = pair.omega ** (2 * pair.symplectic)
     residual = np.einsum("i,j,k->ijk", *(a[s] for a, s in zip(lhs, support)))
-    residual -= phase * np.einsum("i,j,k->ijk", *(b[s] for b, s in zip(rhs, support)))
+    residual -= pair.phase * np.einsum("i,j,k->ijk", *(b[s] for b, s in zip(rhs, support)))
     return max_norm(residual)
 
 
@@ -165,7 +158,7 @@ def weyl_correlators(state, w):
 
 
 def eval_Id(state, pair):
-    """Qudit functional <G4> - omega^(2<g1,g2>) <G1><G2><G3>; complex, |I_d| <= 2.
+    """Qudit functional <G4> - pair.phase * <G1><G2><G3>; complex, |I_d| <= 2.
 
     G1..G4 are read at SLOTS from the correlators of W(g1), W(g2), as
     :func:`eval_I` reads e1..e4 from the Pauli tensor.
@@ -182,7 +175,7 @@ def _Id_of(state, pair, w):
     """I_d of `pair` from its single-site operators w = (W(g1), W(g2)), shape (2, d, d)."""
     e = weyl_correlators(state, w)
     g1, g2, g3, g4 = (complex(e[slots]) for slots in SLOTS)
-    return I_of(CorrelatorQuad(pair.omega ** (2 * pair.symplectic) * g1, g2, g3, g4))
+    return I_of(CorrelatorQuad(pair.phase * g1, g2, g3, g4))
 
 
 def scan_qudit_pairs(state):

@@ -82,9 +82,9 @@ def weyl_operator(d, p, q):
     omega = tau**2 and tau = exp(i*pi/d), a primitive 2d-th root of unity;
     tau**(-p*q) agrees with the half-integer power of omega for odd d and
     stays well defined for even d.  The operator is monomial: column j holds
-    tau**(2*q*j - p*q) in row (j + p) mod d, with the exponent reduced mod 2d
-    so every entry is one correctly rounded root of unity.  Recovers sigma_x,
-    sigma_z (and -sigma_y at (1,1)) when d = 2.  Integer labels are reduced mod d.
+    tau**(2*q*j - p*q), by :func:`weyl_root`, in row (j + p) mod d.  Recovers
+    sigma_x, sigma_z (and -sigma_y at (1,1)) when d = 2.  Integer labels are
+    reduced mod d.
     """
     if not (isinstance(d, Integral) and d >= 2):
         raise ValueError(f"qudit dimension d must be an integer >= 2, got {d!r}")
@@ -92,12 +92,20 @@ def weyl_operator(d, p, q):
         if not isinstance(label, Integral):
             raise ValueError(f"Weyl label {name} must be an integer, got {label!r}")
     p, q = p % d, q % d
-    tau = 1j * math.pi / d
     w = np.zeros((d, d), dtype=complex)
     # d scalar exponentials beat numpy's per-call cost at the small d this serves
     for j in range(d):
-        w[(j + p) % d, j] = cmath.exp(tau * ((2 * q * j - p * q) % (2 * d)))
+        w[(j + p) % d, j] = weyl_root(d, 2 * q * j - p * q)
     return w
+
+
+def weyl_root(d, k):
+    """tau**k with tau = exp(i*pi/d), k reduced mod 2d, as one exponential.
+
+    Every Weyl operator entry and the qudit phase omega**(2s) = tau**(4s) are
+    this one rounded root of unity, which is exactly 1 whenever k = 0 mod 2d.
+    """
+    return cmath.exp(1j * math.pi / d * (k % (2 * d)))
 
 
 def symplectic_form(d, g1, g2):

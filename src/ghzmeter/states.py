@@ -13,7 +13,8 @@ EIGVAL_FLOOR = -1e-10
 # a state holds local_dim**3 amplitudes, and no array is longer than 2**63 - 1
 MAX_LOCAL_DIM = 2**21 - 1
 
-BISEPARABLE_CUTS = ("A|BC", "B|AC", "C|AB")
+# each cut's einsum subscripts: the single party's amplitudes, then the pair's
+BISEPARABLE_CUTS = {"A|BC": "a,bc->abc", "B|AC": "b,ac->abc", "C|AB": "c,ab->abc"}
 
 
 class StateError(ValueError):
@@ -193,21 +194,15 @@ def make_biseparable(cut, single, pair):
     basis order |00>,|01>,|10>,|11> on the remaining two parties kept in
     alphabetical order.
     """
-    if cut not in BISEPARABLE_CUTS:
-        raise StateError(f"cut must be one of {BISEPARABLE_CUTS}, got {cut!r}")
+    if not (isinstance(cut, str) and cut in BISEPARABLE_CUTS):
+        raise StateError(f"cut must be one of {tuple(BISEPARABLE_CUTS)}, got {cut!r}")
     s = np.asarray(single, dtype=complex).reshape(-1)
     p = np.asarray(pair, dtype=complex).reshape(-1)
     if s.shape != (2,) or p.shape != (4,):
         raise StateError(
             f"expected 2 and 4 amplitudes, got {s.shape[0]} and {p.shape[0]}"
         )
-    p = p.reshape(2, 2)
-    if cut == "A|BC":
-        v = np.einsum("a,bc->abc", s, p)
-    elif cut == "B|AC":
-        v = np.einsum("b,ac->abc", s, p)
-    else:
-        v = np.einsum("c,ab->abc", s, p)
+    v = np.einsum(BISEPARABLE_CUTS[cut], s, p.reshape(2, 2))
     return QuantumState(2, vector=v.reshape(-1))
 
 

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -89,16 +91,22 @@ def operator_weyl_quad(pair):
     return (kron(w1, w2, w2), kron(w2, w1, w2), kron(w2, w2, w1), kron(w1, w1, w1))
 
 
+def operator_phase(pair):
+    """omega^(2<g1,g2>) = exp(2 pi i (2s mod d) / d), taken apart from the library's rule."""
+    d = pair.d
+    return cmath.exp(2j * cmath.pi * (2 * pair.symplectic % d) / d)
+
+
 def operator_Id(state, pair):
     """I_d = <G4> - omega^(2<g1,g2>) <G1><G2><G3> from the four kron-built operators."""
     g1, g2, g3, g4 = (state.expectation(g) for g in operator_weyl_quad(pair))
-    return g4 - pair.omega ** (2 * pair.symplectic) * (g1 * g2 * g3)
+    return g4 - operator_phase(pair) * (g1 * g2 * g3)
 
 
 def operator_residual(pair):
     """Max-norm of G1 G2 G3 - omega^(2<g1,g2>) G4 from the four kron-built operators."""
     g1, g2, g3, g4 = operator_weyl_quad(pair)
-    return max_norm(g1 @ g2 @ g3 - pair.omega ** (2 * pair.symplectic) * g4)
+    return max_norm(g1 @ g2 @ g3 - operator_phase(pair) * g4)
 
 
 @pytest.fixture

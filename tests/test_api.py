@@ -5,7 +5,7 @@ from pathlib import Path
 
 import ghzmeter
 import ghzmeter.cli
-from ghzmeter import AcinParams, OrthoFrame, QuantumState
+from ghzmeter import AcinParams, OrthoFrame, QuantumState, QuditGenPair
 from ghzmeter.correlators import IdentityReport
 from ghzmeter.optimize import ConvexityReport
 
@@ -45,7 +45,13 @@ def test_every_private_definition_is_used():
 
 
 DELETED = {
-    ghzmeter: ["frame_from_angles", "triple_observable", "is_hermitian", "is_unitary"],
+    ghzmeter: [
+        "frame_from_angles",
+        "triple_observable",
+        "is_hermitian",
+        "is_unitary",
+        "acin_correlators",
+    ],
     ghzmeter.linalg: [
         "triple_observable",
         "is_hermitian",
@@ -74,11 +80,12 @@ DELETED = {
         "CHART_TABLES",
         "PAIRING",
     ],
-    ghzmeter.functional: ["lhv_identity_holds", "weyl_quad"],
+    ghzmeter.functional: ["lhv_identity_holds", "weyl_quad", "acin_correlators"],
     ghzmeter.cli: ["UsageError"],
     QuantumState: ["real_expectation"],
     OrthoFrame: ["orthogonal", "is_orthogonal", "m"],
     AcinParams: ["tau3"],
+    QuditGenPair: ["omega"],
     IdentityReport: ["max_residual"],
     ConvexityReport: ["convex_within_tolerance"],
 }

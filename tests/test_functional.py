@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import tracemalloc
 
@@ -9,8 +10,8 @@ from ghzmeter import (
     OrthoFrame,
     QuditGenPair,
     acin_closed_form,
-    acin_correlators,
     closed_form_from_mu,
+    correlators_from_tensor,
     eval_I,
     eval_Id,
     lhv_oracle,
@@ -19,6 +20,7 @@ from ghzmeter import (
     make_w,
     maximally_mixed,
     mermin_M3,
+    pauli_tensor,
     scan_qudit_pairs,
     schmidt_subfamily_I,
     symplectic_form,
@@ -29,6 +31,8 @@ from ghzmeter.functional import qudit_product_residual
 from ghzmeter.states import StateError, haar_random_pure
 
 from conftest import (
+    X_HAT,
+    Y_HAT,
     operator_Id,
     operator_residual,
     random_direction,
@@ -85,9 +89,15 @@ def test_acin_closed_form_matches_direct(rng, frame_xy):
         assert abs(acin_closed_form(p) - direct) < 1e-12
 
 
+def acin_xy_correlators(params):
+    """(xxx, xyy, yxy, yyx), read from the Pauli tensor as (e4, e1, e2, e3) at n1 = x, n2 = y."""
+    e = correlators_from_tensor(pauli_tensor(make_acin(params)), X_HAT, Y_HAT)
+    return (e.e4, e.e1, e.e2, e.e3)
+
+
 def test_acin_correlators_values_and_independence(rng):
     ghz_params = AcinParams(1 / np.sqrt(2), 0, 0, 0, 1 / np.sqrt(2))
-    assert np.allclose(acin_correlators(ghz_params), (1, -1, -1, -1), atol=1e-12)
+    assert np.allclose(acin_xy_correlators(ghz_params), (1, -1, -1, -1), atol=1e-12)
 
     x, y = [1, 0, 0], [0, 1, 0]
     obs = [
@@ -97,6 +107,7 @@ def test_acin_correlators_values_and_independence(rng):
         triple_observable(y, y, x),
     ]
     mu = 0.21
+    canonical = (2 * mu, -2 * mu, -2 * mu, -2 * mu)
     reference = None
     for _ in range(20):
         # vary lambda1..lambda3 and phi at fixed mu = lambda0*lambda4
@@ -105,7 +116,8 @@ def test_acin_correlators_values_and_independence(rng):
         rest = np.abs(rng.standard_normal(3))
         rest *= np.sqrt(max(0.0, 1 - lam0**2 - lam4**2)) / np.linalg.norm(rest)
         p = AcinParams(lam0, *rest, lam4, phi=rng.uniform(0, np.pi))
-        pred = acin_correlators(p)
+        pred = acin_xy_correlators(p)
+        assert np.allclose(pred, canonical, atol=1e-12)
         if reference is None:
             reference = pred
         assert np.allclose(pred, reference, atol=1e-12)
@@ -201,6 +213,23 @@ def test_gen_pair_validation():
 def test_gen_pair_rejects_non_integers(d, g1, g2):
     with pytest.raises(ValueError):
         QuditGenPair(d, g1, g2)
+
+
+@pytest.mark.parametrize("d", [1, 2.0, 3.0, True])
+def test_gen_pair_dimension_follows_state_rule(d):
+    with pytest.raises(StateError):
+        QuditGenPair(d, (0, 0), (0, 0))
+
+
+def test_gen_pair_phase_is_the_rounded_root():
+    # omega^(2s) at s = <(1, 0), (0, s)> = s, against one exponential of the reduced angle
+    for d in range(2, 31):
+        for s in range(d):
+            phase = QuditGenPair(d, (1, 0), (0, s)).phase
+            exact = cmath.exp(2j * cmath.pi * (2 * s % d) / d)
+            assert abs(phase - exact) <= 1e-15
+            if 2 * s % d == 0:
+                assert phase == 1
 
 
 def test_eval_Id_reduces_to_qubit_functional():

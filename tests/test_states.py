@@ -143,6 +143,8 @@ def test_biseparable_validation():
     with pytest.raises(StateError):
         make_biseparable("AB|C", [1, 0], [1, 0, 0, 0])
     with pytest.raises(StateError):
+        make_biseparable(["A|BC"], [1, 0], [1, 0, 0, 0])
+    with pytest.raises(StateError):
         make_biseparable("A|BC", [1, 0, 0], [1, 0, 0, 0])
 
 
