@@ -43,9 +43,6 @@ def make_named_state(name):
 
 
 def resolve_state(args):
-    given = [v for v in (args.state, args.acin, args.state_file) if v is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --state, --acin, --state-file")
     if args.state is not None:
         return make_named_state(args.state)
     if args.acin is not None:
@@ -258,9 +255,10 @@ def cmd_qudit(args):
 
 
 def add_state_options(parser):
-    parser.add_argument("--state", choices=NAMED_STATES, help="named state")
-    parser.add_argument("--acin", help="lambda0..lambda4[,phi] canonical parameters")
-    parser.add_argument("--state-file", help="path to a JSON state file")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--state", choices=NAMED_STATES, help="named state")
+    group.add_argument("--acin", help="lambda0..lambda4[,phi] canonical parameters")
+    group.add_argument("--state-file", help="path to a JSON state file")
 
 
 def add_output_options(parser):
@@ -268,8 +266,15 @@ def add_output_options(parser):
     parser.add_argument("--output", help="write to this path instead of stdout")
 
 
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ghzmeter",
         description="Multiplicative GHZ functional and tripartite entanglement indicator",
     )
@@ -323,8 +328,8 @@ PARSER = build_parser()
 
 
 def main(argv=None):
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()
         return args.func(args)

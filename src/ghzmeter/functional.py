@@ -9,7 +9,7 @@ import numpy as np
 
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .correlators import tensor_at_columns
-from .linalg import ATOL, max_norm, symplectic_form, weyl_operator, weyl_root
+from .linalg import ATOL, as_real, max_norm, symplectic_form, weyl_operator, weyl_root
 from .states import NORM_ATOL, StateError, check_local_dim
 
 
@@ -53,6 +53,7 @@ def lhv_oracle():
 
 def closed_form_from_mu(mu):
     """I_of at the canonical correlators e1 = e2 = e3 = -2mu, e4 = 2mu: 8*mu^3 + 2*mu."""
+    mu = as_real(mu, "mu")
     if not abs(mu) <= 0.5 + NORM_ATOL:
         raise ValueError(f"mu = lambda0*lambda4 must be finite with |mu| <= 1/2, got {mu!r}")
     return I_of(CorrelatorQuad(-2.0 * mu, -2.0 * mu, -2.0 * mu, 2.0 * mu))
@@ -65,7 +66,7 @@ def acin_closed_form(params):
 
 def schmidt_subfamily_I(beta):
     """I at the canonical frame on cos(b)|000> + sin(b)|111>, of mu = sin(2b)/2."""
-    angle = 2.0 * float(beta)
+    angle = 2.0 * as_real(beta, "beta")
     if not math.isfinite(angle):
         raise ValueError(f"beta must be a finite angle, got {beta!r}")
     return closed_form_from_mu(np.sin(angle) / 2.0)
@@ -73,6 +74,7 @@ def schmidt_subfamily_I(beta):
 
 def tau3_relation(tau3):
     """I at the canonical frame of the three-tangle t3 = 4*mu^2: sqrt(t3)*(t3 + 1)."""
+    tau3 = as_real(tau3, "tau3")
     if not 0.0 <= tau3 <= 1.0:
         raise ValueError(f"three-tangle must lie in [0, 1], got {tau3!r}")
     return closed_form_from_mu(np.sqrt(tau3) / 2.0)
@@ -85,6 +87,7 @@ def w_reduced_I(a3, b3):
     cannot both hug the z axis), of every element when a3, b3 are arrays.
     Products, not powers, round alike on arrays and scalars.
     """
+    a3, b3 = as_real(a3, "a3"), as_real(b3, "b3")
     with np.errstate(over="ignore"):  # an overflowing square is infeasible
         feasible = np.all(np.square(a3) + np.square(b3) <= 1.0 + ATOL)
     if not feasible:
@@ -105,9 +108,9 @@ class QuditGenPair:
 
     def __post_init__(self):
         check_local_dim(self.d)
-        for g in (self.g1, self.g2):
+        for name, g in (("g1", self.g1), ("g2", self.g2)):
             if len(g) != 2 or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
-                raise ValueError(f"generator {g!r} is not a pair of integers mod {self.d}")
+                raise ValueError(f"generator {name} must be a pair of integers in [0, {self.d})")
 
     @property
     def symplectic(self):

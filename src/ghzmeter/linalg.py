@@ -6,7 +6,7 @@ Every matrix is a plain dense complex numpy array and every function is pure.
 import cmath
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,11 +36,27 @@ def max_norm(m):
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
+def as_real(x, name):
+    """x as a float, or as a float array; a ValueError naming `name` unless it holds real numbers.
+
+    A cast to float would drop an imaginary part, parse a string, or overflow on a huge integer.
+    """
+    values = np.asarray(x)
+    # numpy holds an integer past int64 as an object
+    if values.dtype.kind in "biuf" or all(isinstance(v, Real) for v in values.flat):
+        try:
+            values = values.astype(float, copy=False)
+            return values if values.ndim else float(values)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number, or an array of them, in the float range")
+
+
 def unit_vector(n):
     """Validate and return a real unit 3-vector as a float array."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"direction must be a real 3-vector, got shape {n.shape}")
+    n = as_real(n, "direction")
+    if getattr(n, "shape", ()) != (3,):  # as_real gives a scalar as a float
+        raise ValueError(f"direction must be a real 3-vector, got shape {np.shape(n)}")
     # hypot scales its arguments, so a huge entry gives its length, not an overflow warning
     norm = math.hypot(*n)
     if not abs(norm - 1.0) < ATOL:
@@ -87,7 +103,7 @@ def weyl_operator(d, p, q):
     reduced mod d.
     """
     if not (isinstance(d, Integral) and d >= 2):
-        raise ValueError(f"qudit dimension d must be an integer >= 2, got {d!r}")
+        raise ValueError("qudit dimension d must be an integer >= 2")
     for name, label in (("p", p), ("q", q)):
         if not isinstance(label, Integral):
             raise ValueError(f"Weyl label {name} must be an integer, got {label!r}")

@@ -10,7 +10,7 @@ import numpy as np
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_monomials
 from .correlators import correlators_from_tensor, monomials, pauli_tensor, tensor_at_columns
 from .functional import I_of, M3_of, w_reduced_I
-from .linalg import OrthoFrame
+from .linalg import OrthoFrame, as_real
 from .states import QuantumState, apply_local_unitaries, check_seed, haar_random_unitary
 
 DEFAULT_RESTARTS = 300
@@ -318,7 +318,7 @@ def _search(tensor, functional, columns, restarts, seed):
     """
     check_seed(seed)
     if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
-        raise ValueError(f"restarts must be an integer in [1, {SAMPLES}], got {restarts!r}")
+        raise ValueError(f"restarts must be an integer in [1, {SAMPLES}]")
     grid, orders, table = _starts(columns)
     r0 = haar_rotations(np.random.default_rng(seed))
     rotated = tensor_at_columns(tensor, r0)
@@ -374,26 +374,22 @@ def w_analytic_max():
     """Branch analysis of the W-state objective f(u, v) on u^2 + v^2 <= 1.
 
     The stationarity condition in v singles out the branches v = 0 and
-    v^2 = 2/9, plus the disc boundary; each branch is scanned on a fine
-    grid, as one array, together with its analytic critical points.  Returns
-    (max |f|, argmax list, per-branch maxima).
+    v^2 = 2/9, plus the disc boundary u^2 + v^2 = 1; each branch is scanned
+    on a fine grid, as one array, together with its analytic critical
+    points.  Returns (max |f|, argmax list, per-branch maxima).
     """
-    branch_maxima = {}
-
-    # Branch v = 0: f = (89/27) u^3 - 2u on u in [-1, 1].
-    us = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0]])
-    branch_maxima["v=0"] = float(np.max(np.abs(w_reduced_I(us, 0.0))))
-
-    # Branch v^2 = 2/9: f = -u (2 - 3u^2) on u^2 <= 7/9, extremal at u^2 = 2/9.
     v, umax = np.sqrt(2.0 / 9.0), np.sqrt(7.0 / 9.0)
-    us = np.concatenate([np.linspace(-umax, umax, 2001), [-v, v]])
-    branch_maxima["v^2=2/9"] = float(np.max(np.abs(w_reduced_I(us, v))))
-
-    # Disc boundary u^2 + v^2 = 1.
     us = np.linspace(-1.0, 1.0, 2001)
-    vs = np.sqrt(np.maximum(0.0, 1.0 - us * us))
-    branch_maxima["boundary"] = float(np.max(np.abs(w_reduced_I(us, vs))))
-
+    branches = {
+        # f = (89/27) u^3 - 2u on u in [-1, 1]
+        "v=0": (np.concatenate([us, [-1.0, 1.0]]), 0.0),
+        # f = -u (2 - 3u^2) on u^2 <= 7/9, extremal at u^2 = 2/9
+        "v^2=2/9": (np.concatenate([np.linspace(-umax, umax, 2001), [-v, v]]), v),
+        "boundary": (us, np.sqrt(np.maximum(0.0, 1.0 - us * us))),
+    }
+    branch_maxima = {
+        name: float(np.max(np.abs(w_reduced_I(a3, b3)))) for name, (a3, b3) in branches.items()
+    }
     best = max(branch_maxima.values())
     argmax = [(u, 0.0) for u in (1.0, -1.0) if abs(abs(w_reduced_I(u, 0.0)) - best) < 1e-12]
     return best, argmax, branch_maxima
@@ -416,9 +412,9 @@ def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0):
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 11)
-    weights = np.asarray(p_grid, dtype=float)
-    if not (weights.size and np.all((0.0 <= weights) & (weights <= 1.0))):
-        raise ValueError(f"p_grid must hold mixing weights in [0, 1], got {weights.tolist()!r}")
+    weights = as_real(p_grid, "p_grid")
+    if not (np.ndim(weights) == 1 and weights.size and np.all((0.0 <= weights) & (weights <= 1.0))):
+        raise ValueError(f"p_grid must be a list of mixing weights in [0, 1], got {p_grid!r}")
     d1, d2 = rho1.density_matrix(), rho2.density_matrix()
     end1 = e_ghz(rho1, restarts=restarts, seed=seed)
     end2 = e_ghz(rho2, restarts=restarts, seed=seed + 1)
@@ -449,7 +445,7 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
     Returns (reference, values, max_deviation).
     """
     if not (isinstance(trials, Integral) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        raise ValueError("trials must be an integer >= 1")
     reference = e_ghz(state, restarts=restarts, seed=seed)
     rng = np.random.default_rng(seed)
     values = []

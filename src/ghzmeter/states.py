@@ -16,6 +16,9 @@ MAX_LOCAL_DIM = 2**21 - 1
 # each cut's einsum subscripts: the single party's amplitudes, then the pair's
 BISEPARABLE_CUTS = {"A|BC": "a,bc->abc", "B|AC": "b,ac->abc", "C|AB": "c,ab->abc"}
 
+# each state kind's state-file key and QuantumState field, its [re, im] pairs in basis order
+STATE_FILE_FIELDS = {"pure": ("amplitudes", "vector"), "mixed": ("density", "density")}
+
 
 class StateError(ValueError):
     """Raised when a state violates one of its invariants."""
@@ -73,25 +76,10 @@ class QuantumState:
     def kind(self):
         return "pure" if self.vector is not None else "mixed"
 
-    @property
-    def dim(self):
-        return self.local_dim**3
-
     def density_matrix(self):
         if self.density is not None:
             return self.density
         return np.outer(self.vector, self.vector.conj())
-
-    def expectation(self, operator):
-        """<O> for a dim x dim operator; complex in general."""
-        operator = np.asarray(operator, dtype=complex)
-        if operator.shape != (self.dim, self.dim):
-            raise StateError(
-                f"operator shape {operator.shape} does not match dimension {self.dim}"
-            )
-        if self.vector is not None:
-            return complex(self.vector.conj() @ operator @ self.vector)
-        return complex(np.trace(operator @ self.density))
 
 
 @dataclass(frozen=True)
@@ -156,9 +144,9 @@ def make_acin(params):
 def make_ghz_basis_element(i, j, k, sign=+1):
     """(|ijk> +/- |i~ j~ k~>)/sqrt(2) with x~ the flipped bit."""
     if sign not in (+1, -1):
-        raise StateError(f"sign must be +1 or -1, got {sign!r}")
+        raise StateError("sign must be +1 or -1")
     if not all(isinstance(bit, Integral) and bit in (0, 1) for bit in (i, j, k)):
-        raise StateError(f"bits must be 0 or 1, got {(i, j, k)!r}")
+        raise StateError("bits i, j, k must be 0 or 1")
     v = np.zeros(8, dtype=complex)
     v[4 * i + 2 * j + k] = 1.0 / np.sqrt(2)
     v[4 * (1 - i) + 2 * (1 - j) + (1 - k)] += sign / np.sqrt(2)
@@ -166,13 +154,11 @@ def make_ghz_basis_element(i, j, k, sign=+1):
 
 
 def ghz_basis():
-    """The eight GHZ basis states, indexed by (i, j, k, sign)."""
+    """The eight GHZ basis states by (i, j, k, sign), each pair {ijk, flipped} named at i = 0."""
     return [
-        ((i, j, k, s), make_ghz_basis_element(i, j, k, s))
-        for i in range(2)
+        ((0, j, k, s), make_ghz_basis_element(0, j, k, s))
         for j in range(2)
         for k in range(2)
-        if (i, j, k) < (1 - i, 1 - j, 1 - k)
         for s in (+1, -1)
     ]
 
@@ -223,7 +209,7 @@ def check_local_dim(d):
 def check_seed(seed):
     """Raise ValueError unless `seed` is a non-negative integer."""
     if not (isinstance(seed, Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError("seed must be a non-negative integer")
 
 
 def haar_random_pure(d, seed):
@@ -257,17 +243,12 @@ def apply_local_unitaries(state, ua, ub, uc):
     return QuantumState(state.local_dim, density=u @ state.density @ u.conj().T)
 
 
-def _pairs(values):
-    return [[float(z.real), float(z.imag)] for z in values]
-
-
 def save_state(state, path):
     """Write a state file (JSON) with [re, im] pairs in basis order."""
-    doc = {"local_dim": state.local_dim, "kind": state.kind}
-    if state.vector is not None:
-        doc["amplitudes"] = _pairs(state.vector)
-    else:
-        doc["density"] = [_pairs(row) for row in state.density]
+    key, field = STATE_FILE_FIELDS[state.kind]
+    data = getattr(state, field)
+    pairs = np.stack([data.real, data.imag], -1).tolist()
+    doc = {"local_dim": state.local_dim, "kind": state.kind, key: pairs}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -289,19 +270,17 @@ def load_state(path):
         raise StateError(f"state file {path} is missing local_dim/kind") from exc
     if not (isinstance(d, int) or isinstance(d, float) and d.is_integer()):
         raise StateError(f"local_dim must be an integer, got {d!r}")
-    if kind not in ("pure", "mixed"):
+    # a JSON list or object is unhashable, so it cannot be looked up in the table
+    if not (isinstance(kind, str) and kind in STATE_FILE_FIELDS):
         raise StateError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
-    key = "amplitudes" if kind == "pure" else "density"
+    key, field = STATE_FILE_FIELDS[kind]
     pairs = doc.get(key)
     if pairs is None:
         raise StateError(f"{kind} state file must carry a {key!r} array")
+    # amplitudes are one row of pairs; QuantumState flattens the vector
+    rows = pairs if field == "density" else [pairs]
     try:
-        if kind == "pure":
-            data = np.array([complex(re, im) for re, im in pairs])
-        else:
-            data = np.array([[complex(re, im) for re, im in row] for row in pairs])
+        data = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError, OverflowError) as exc:
         raise StateError(f"{key} must hold [re, im] number pairs: {exc}") from exc
-    if kind == "pure":
-        return QuantumState(int(d), vector=data)
-    return QuantumState(int(d), density=data)
+    return QuantumState(int(d), **{field: data})

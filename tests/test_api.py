@@ -82,7 +82,7 @@ DELETED = {
     ],
     ghzmeter.functional: ["lhv_identity_holds", "weyl_quad", "acin_correlators"],
     ghzmeter.cli: ["UsageError"],
-    QuantumState: ["real_expectation"],
+    QuantumState: ["real_expectation", "expectation", "dim"],
     OrthoFrame: ["orthogonal", "is_orthogonal", "m"],
     AcinParams: ["tau3"],
     QuditGenPair: ["omega"],

@@ -73,7 +73,32 @@ def test_eval_bad_direction(capsys):
 def test_eval_requires_one_state_option(capsys):
     code, _, err = run(capsys, ["eval", "--n1", "1,0,0", "--n2", "0,1,0"])
     assert code == 2
-    assert "exactly one" in err
+    assert "one of the arguments --state --acin --state-file is required" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--state", "w", "--restarts", "abc"],
+        ["eval", "--state", "nope", "--n1", "1,0,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "1,0,0"],
+        ["eval", "--state", "ghz", "--acin", "1,0,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0", "extra"],
+        ["nope"],
+        [],
+    ],
+)
+def test_usage_errors_write_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ghzmeter eval")
 
 
 def test_eval_acin_params(capsys):

@@ -327,8 +327,21 @@ def test_numpy_integer_seed_is_the_int_seed():
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[-0.01], restarts=1), "p_grid"),
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[1.5], restarts=1), "p_grid"),
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[np.nan], restarts=1), "p_grid"),
+        (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[10**400], restarts=1), "p_grid"),
+        (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[0.5j], restarts=1), "p_grid"),
+        (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=0.5, restarts=1), "p_grid"),
     ],
-    ids=["trials-0", "trials-1.5", "p_grid-empty", "p_grid--0.01", "p_grid-1.5", "p_grid-nan"],
+    ids=[
+        "trials-0",
+        "trials-1.5",
+        "p_grid-empty",
+        "p_grid--0.01",
+        "p_grid-1.5",
+        "p_grid-nan",
+        "p_grid-huge-int",
+        "p_grid-complex",
+        "p_grid-scalar",
+    ],
 )
 def test_probe_size_rejected(probe, match):
     with pytest.raises(ValueError, match=match):

@@ -5,6 +5,7 @@ import io
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,29 +17,39 @@ from ghzmeter import (
     StateError,
     closed_form_from_mu,
     haar_random_pure,
+    lu_invariance_check,
     make_ghz,
+    make_ghz_basis_element,
+    make_w,
     maximally_mixed,
+    maximize_I,
     schmidt_subfamily_I,
     tau3_relation,
     w_reduced_I,
     weyl_operator,
 )
 from ghzmeter.cli import NAMED_STATES, main
+from ghzmeter.states import check_seed
 
 # every float, nan and +-inf included
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# complex numbers, which a real-valued argument must reject, and integers, some past the float range
+NOT_FLOATS = st.complex_numbers() | st.integers() | st.sampled_from([10**400, -(10**400)])
 
 
 @settings(max_examples=200, deadline=None)
-@given(n1=st.lists(FLOATS, min_size=3, max_size=3), n2=st.lists(FLOATS, min_size=3, max_size=3))
+@given(
+    n1=st.lists(FLOATS | NOT_FLOATS, min_size=3, max_size=3),
+    n2=st.lists(FLOATS | NOT_FLOATS, min_size=3, max_size=3),
+)
 def test_ortho_frame_is_valid_or_raises(n1, n2):
     try:
         frame = OrthoFrame(n1, n2)
     except ValueError:
         return
     for n in (frame.n1, frame.n2):
-        assert np.all(np.isfinite(n)) and abs(np.linalg.norm(n) - 1) < 1e-12
-    assert np.isfinite(frame.c)
+        assert n.dtype == float and np.all(np.isfinite(n)) and abs(np.linalg.norm(n) - 1) < 1e-12
+    assert isinstance(frame.c, float) and np.isfinite(frame.c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,24 +117,43 @@ def test_acin_params_is_valid_or_raises(lambdas, phi):
 
 # the closed forms on the canonical family: |I| <= 2 wherever they accept the input
 @settings(max_examples=200, deadline=None)
-@given(x=FLOATS | st.floats(-0.6, 0.6))
+@given(x=FLOATS | st.floats(-0.6, 0.6) | NOT_FLOATS)
 def test_closed_forms_are_valid_or_raise(x):
     for closed_form in (closed_form_from_mu, schmidt_subfamily_I, tau3_relation):
         try:
             value = closed_form(x)
         except ValueError:
             continue
-        assert np.isfinite(value) and abs(value) <= 2 + 1e-12
+        assert isinstance(value, float) and np.isfinite(value) and abs(value) <= 2 + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
-@given(a3=FLOATS | st.floats(-1, 1), b3=FLOATS | st.floats(-1, 1))
+@given(a3=FLOATS | st.floats(-1, 1) | NOT_FLOATS, b3=FLOATS | st.floats(-1, 1) | NOT_FLOATS)
 def test_w_reduced_I_is_valid_or_raises(a3, b3):
     try:
         value = w_reduced_I(a3, b3)
     except ValueError:
         return
-    assert np.isfinite(value) and abs(value) <= 2
+    assert isinstance(value, float) and np.isfinite(value) and abs(value) <= 2
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        (check_seed, ValueError, "seed"),
+        (lambda n: maximize_I(make_w(), restarts=n), ValueError, "restarts"),
+        (lambda n: lu_invariance_check(make_ghz(2), trials=n, restarts=1), ValueError, "trials"),
+        (lambda n: weyl_operator(n, 0, 0), ValueError, "dimension d"),
+        (lambda n: QuditGenPair(3, (n, 0), (0, 1)), ValueError, "g1"),
+        (lambda n: make_ghz_basis_element(n, 0, 0), StateError, "bits"),
+        (lambda n: make_ghz_basis_element(0, 0, 0, n), StateError, "sign"),
+    ],
+    ids=["seed", "restarts", "trials", "weyl-d", "generator", "bit", "sign"],
+)
+def test_huge_integer_is_not_formatted_into_its_error(call, error, name):
+    # str() of an integer past 4300 digits raises its own ValueError
+    with pytest.raises(error, match=name):
+        call(-(10**5000))
 
 
 NUMBERS = st.integers(-1, 4) | st.floats(-1, 5) | FLOATS | st.integers(-(2**70), 2**70)
@@ -221,7 +251,7 @@ def test_cli_main_never_raises(tmp_path_factory, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+            except SystemExit as exc:  # argparse exits 0 after --help
                 code = exc.code
     finally:
         os.chdir(cwd)

@@ -40,7 +40,7 @@ def test_ghz_qutrit():
     idx = [0, 13, 26]
     assert np.allclose(ghz.vector[idx], 1 / np.sqrt(3))
     x = weyl_operator(3, 1, 0)
-    assert abs(ghz.expectation(kron(x, x, x)) - 1.0) < 1e-12
+    assert abs(real_expectation(ghz, kron(x, x, x)) - 1.0) < 1e-12
 
 
 def test_w_correlators():
