@@ -36,15 +36,9 @@ def default_seed():
         raise ValueError(f"GHZMETER_SEED must be an integer, got {raw!r}") from None
 
 
-def make_named_state(name):
-    if name not in NAMED_STATE_MAKERS:
-        raise ValueError(f"unknown state {name!r}; valid names: {', '.join(NAMED_STATES)}")
-    return NAMED_STATE_MAKERS[name]()
-
-
 def resolve_state(args):
     if args.state is not None:
-        return make_named_state(args.state)
+        return NAMED_STATE_MAKERS[args.state]()
     if args.acin is not None:
         vals = parse_floats("--acin", args.acin, (5, 6))
         phi = vals[5] if len(vals) == 6 else 0.0
@@ -171,9 +165,8 @@ def cmd_scan_mu(args):
 def cmd_bench(args):
     rows, lines = [], [f"{'state':>8} {'sup_abs_I':>12} {'e_ghz':>10}"]
     for name in ("ghz", "w", "bisep", "product"):
-        result = optimize.maximize_I(
-            make_named_state(name), restarts=args.restarts, seed=args.seed
-        )
+        state = NAMED_STATE_MAKERS[name]()
+        result = optimize.maximize_I(state, restarts=args.restarts, seed=args.seed)
         rows.append(dict(state=name, sup_abs_I=result.best_value, e_ghz=result.e_ghz,
                          restarts=args.restarts, seed=args.seed))
         lines.append(f"{name:>8} {result.best_value:12.6f} {result.e_ghz:10.6f}")
@@ -334,7 +327,9 @@ def main(argv=None):
             args.seed = default_seed()
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # OSError: --output cannot be written
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        # a message that echoes user text stays on one line
+        message = (str(exc) or "out of memory").replace("\n", "\\n").replace("\r", "\\r")
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

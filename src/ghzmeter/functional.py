@@ -109,7 +109,7 @@ class QuditGenPair:
     def __post_init__(self):
         check_local_dim(self.d)
         for name, g in (("g1", self.g1), ("g2", self.g2)):
-            if len(g) != 2 or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
+            if np.shape(g) != (2,) or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
                 raise ValueError(f"generator {name} must be a pair of integers in [0, {self.d})")
 
     @property

@@ -103,6 +103,15 @@ def _start_grid(cells):
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The outcome of one seeded search by :func:`_search`.
+
+    `best_value` is |functional| evaluated once at (best_frame.n1,
+    best_frame.n2), so it equals that evaluation bit for bit.  `restarts`
+    and `seed` are as given, `iterations_total` counts the polish's
+    row-passes and `converged_restarts` the rows that ended within
+    CONVERGENCE_ATOL of the best.  `e_ghz` is meaningful for |I| only.
+    """
+
     best_value: float
     best_frame: OrthoFrame
     restarts: int
@@ -312,9 +321,8 @@ def _search(tensor, functional, columns, restarts, seed):
     (n1, n2) are T's at (R0 n1, R0 n2), by :func:`correlators_from_monomials`
     of their monomial table, and the best `restarts` are polished together
     by :func:`_polish`.  Ties keep index order, so more restarts only add
-    rows.  Returns |functional| at the best directions turned back by R0,
-    those directions (n1, n2), the summed polish iterations and the rows
-    that ended within CONVERGENCE_ATOL of it.
+    rows.  Returns the :class:`OptimizationResult` at the best directions
+    turned back by R0.
     """
     check_seed(seed)
     if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
@@ -326,10 +334,10 @@ def _search(tensor, functional, columns, restarts, seed):
     starts = np.stack([grid[order[rows]] for order in orders], axis=1)
     rotations, values, iterations = _polish(rotated, functional, columns, starts)
     best = int(np.argmax(values))
+    frame = OrthoFrame(*(r0 @ d for d in _directions(rotations[best], columns)))
+    value = float(abs(functional(correlators_from_tensor(tensor, frame.n1, frame.n2))))
     converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
-    directions = tuple(r0 @ d for d in _directions(rotations[best], columns))
-    value = float(abs(functional(correlators_from_tensor(tensor, *directions))))
-    return value, directions, iterations, converged
+    return OptimizationResult(value, frame, restarts, seed, iterations, converged)
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
@@ -341,17 +349,7 @@ def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
     `best_value` equals abs(eval_I(state, best_frame)).  Deterministic for a
     fixed (state, restarts, seed).
     """
-    value, directions, iterations, converged = _search(
-        pauli_tensor(state), I_of, FRAME_COLUMNS, restarts, seed
-    )
-    return OptimizationResult(
-        best_value=value,
-        best_frame=OrthoFrame(*directions),
-        restarts=restarts,
-        seed=seed,
-        iterations_total=iterations,
-        converged_restarts=converged,
-    )
+    return _search(pauli_tensor(state), I_of, FRAME_COLUMNS, restarts, seed)
 
 
 def e_ghz(state, restarts=DEFAULT_RESTARTS, seed=0):
@@ -367,7 +365,7 @@ def maximize_mermin(state, restarts=100, seed=0):
     of :func:`_starts`.  M3 is odd under (n1, n2) -> (-n1, -n2), so its
     maximum is max |M3|.
     """
-    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, restarts, seed)[0]
+    return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, restarts, seed).best_value
 
 
 def w_analytic_max():

@@ -6,7 +6,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import kron, max_norm
+from .linalg import as_real, kron, max_norm
 
 NORM_ATOL = 1e-12
 EIGVAL_FLOOR = -1e-10
@@ -94,15 +94,18 @@ class AcinParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        lams = self.lambdas
+        try:
+            lams, phi = as_real(self.lambdas, "lambda coefficients"), as_real(self.phi, "phi")
+        except ValueError as err:
+            raise StateError(str(err)) from None
         # checked before squaring, so a huge lambda cannot overflow
         if not np.all((lams >= 0) & (lams <= 1.0 + NORM_ATOL)):
             raise StateError(f"lambda coefficients must lie in [0, 1]: {lams}")
         total = float(np.sum(lams**2))
         if not abs(total - 1.0) < NORM_ATOL:
             raise StateError(f"sum of lambda_i^2 must be 1, got {total!r}")
-        if not 0.0 <= self.phi <= np.pi:
-            raise StateError(f"phi must lie in [0, pi], got {self.phi!r}")
+        if not 0.0 <= phi <= np.pi:
+            raise StateError(f"phi must lie in [0, pi], got {phi!r}")
 
     @property
     def lambdas(self):

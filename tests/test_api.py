@@ -81,7 +81,7 @@ DELETED = {
         "PAIRING",
     ],
     ghzmeter.functional: ["lhv_identity_holds", "weyl_quad", "acin_correlators"],
-    ghzmeter.cli: ["UsageError"],
+    ghzmeter.cli: ["UsageError", "make_named_state"],
     QuantumState: ["real_expectation", "expectation", "dim"],
     OrthoFrame: ["orthogonal", "is_orthogonal", "m"],
     AcinParams: ["tau3"],

@@ -84,6 +84,7 @@ def test_eval_requires_one_state_option(capsys):
         ["eval", "--state", "ghz", "--n1", "1,0,0"],
         ["eval", "--state", "ghz", "--acin", "1,0,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"],
         ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0", "extra"],
+        ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0", "a\nb"],
         ["nope"],
         [],
     ],
@@ -197,7 +198,8 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("payload", MALFORMED_STATE_FILES.values(), ids=MALFORMED_STATE_FILES)
 def test_malformed_state_file_exits_2(capsys, tmp_path, payload):
-    path = tmp_path / "bad.json"
+    # a line break in the name, which some errors echo
+    path = tmp_path / "bad\n.json"
     path.write_bytes(payload)
     for argv in (
         ["eval", "--state-file", str(path), "--n1", "1,0,0", "--n2", "0,1,0"],

@@ -388,9 +388,10 @@ def test_mermin_w_maximum():
 def test_mermin_value_is_abs_M3_at_its_directions(rng, seed):
     state = random_mixed_state(rng)
     tensor = pauli_tensor(state)
-    value, directions, _, _ = _search(tensor, M3_of, MERMIN_COLUMNS, 30, seed)
-    assert value == abs(M3_of(correlators_from_tensor(tensor, *directions)))
-    assert value == maximize_mermin(state, 30, seed)
+    result = _search(tensor, M3_of, MERMIN_COLUMNS, 30, seed)
+    frame = result.best_frame
+    assert result.best_value == abs(M3_of(correlators_from_tensor(tensor, frame.n1, frame.n2)))
+    assert result.best_value == maximize_mermin(state, 30, seed)
 
 
 def test_maximize_biseparable_and_product():

@@ -105,7 +105,10 @@ def test_weyl_operator_is_unitary_monomial_or_raises(d, p, q):
 
 
 @settings(max_examples=200, deadline=None)
-@given(lambdas=st.lists(FLOATS | st.sampled_from([0.0, 0.6, 0.8]), min_size=5, max_size=5), phi=FLOATS)
+@given(
+    lambdas=st.lists(FLOATS | st.sampled_from([0.0, 0.6, 0.8]) | NOT_FLOATS, min_size=5, max_size=5),
+    phi=FLOATS | NOT_FLOATS,
+)
 def test_acin_params_is_valid_or_raises(lambdas, phi):
     try:
         params = AcinParams(*lambdas, phi=phi)
@@ -147,8 +150,10 @@ def test_w_reduced_I_is_valid_or_raises(a3, b3):
         (lambda n: QuditGenPair(3, (n, 0), (0, 1)), ValueError, "g1"),
         (lambda n: make_ghz_basis_element(n, 0, 0), StateError, "bits"),
         (lambda n: make_ghz_basis_element(0, 0, 0, n), StateError, "sign"),
+        (lambda n: AcinParams(n, 0, 0, 0, 1), StateError, "lambda"),
+        (lambda n: AcinParams(1, 0, 0, 0, 0, n), StateError, "phi"),
     ],
-    ids=["seed", "restarts", "trials", "weyl-d", "generator", "bit", "sign"],
+    ids=["seed", "restarts", "trials", "weyl-d", "generator", "bit", "sign", "lambda", "phi"],
 )
 def test_huge_integer_is_not_formatted_into_its_error(call, error, name):
     # str() of an integer past 4300 digits raises its own ValueError
@@ -157,7 +162,9 @@ def test_huge_integer_is_not_formatted_into_its_error(call, error, name):
 
 
 NUMBERS = st.integers(-1, 4) | st.floats(-1, 5) | FLOATS | st.integers(-(2**70), 2**70)
-LABELS = st.tuples(NUMBERS, NUMBERS) | st.lists(NUMBERS, max_size=3).map(tuple)
+LABELS = (
+    st.tuples(NUMBERS, NUMBERS) | st.lists(NUMBERS, max_size=3).map(tuple) | st.integers() | st.none()
+)
 
 
 @settings(max_examples=200, deadline=None)
