@@ -53,7 +53,7 @@ def lhv_oracle():
 
 def closed_form_from_mu(mu):
     """I_of at the canonical correlators e1 = e2 = e3 = -2mu, e4 = 2mu: 8*mu^3 + 2*mu."""
-    mu = as_real(mu, "mu")
+    mu = as_real(mu, "mu", ())
     if not abs(mu) <= 0.5 + NORM_ATOL:
         raise ValueError(f"mu = lambda0*lambda4 must be finite with |mu| <= 1/2, got {mu!r}")
     return I_of(CorrelatorQuad(-2.0 * mu, -2.0 * mu, -2.0 * mu, 2.0 * mu))
@@ -66,7 +66,7 @@ def acin_closed_form(params):
 
 def schmidt_subfamily_I(beta):
     """I at the canonical frame on cos(b)|000> + sin(b)|111>, of mu = sin(2b)/2."""
-    angle = 2.0 * as_real(beta, "beta")
+    angle = 2.0 * as_real(beta, "beta", ())
     if not math.isfinite(angle):
         raise ValueError(f"beta must be a finite angle, got {beta!r}")
     return closed_form_from_mu(np.sin(angle) / 2.0)
@@ -74,7 +74,7 @@ def schmidt_subfamily_I(beta):
 
 def tau3_relation(tau3):
     """I at the canonical frame of the three-tangle t3 = 4*mu^2: sqrt(t3)*(t3 + 1)."""
-    tau3 = as_real(tau3, "tau3")
+    tau3 = as_real(tau3, "tau3", ())
     if not 0.0 <= tau3 <= 1.0:
         raise ValueError(f"three-tangle must lie in [0, 1], got {tau3!r}")
     return closed_form_from_mu(np.sqrt(tau3) / 2.0)
@@ -109,8 +109,12 @@ class QuditGenPair:
     def __post_init__(self):
         check_local_dim(self.d)
         for name, g in (("g1", self.g1), ("g2", self.g2)):
-            if np.shape(g) != (2,) or not all(isinstance(x, Integral) and 0 <= x < self.d for x in g):
+            # a tuple, list or 1-D array, stored as a tuple of ints so that equal pairs hash alike
+            sized = isinstance(g, (tuple, list)) or isinstance(g, np.ndarray) and g.ndim == 1
+            labels = tuple(g) if sized and len(g) == 2 else ()
+            if not (labels and all(isinstance(x, Integral) and 0 <= x < self.d for x in labels)):
                 raise ValueError(f"generator {name} must be a pair of integers in [0, {self.d})")
+            object.__setattr__(self, name, tuple(int(x) for x in labels))
 
     @property
     def symplectic(self):

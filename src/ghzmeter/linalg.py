@@ -36,27 +36,30 @@ def max_norm(m):
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def as_real(x, name):
-    """x as a float, or as a float array; a ValueError naming `name` unless it holds real numbers.
+def as_real(x, name, shape=None):
+    """x as real values of `shape`; a ValueError naming `name` and the shape unless it holds them.
 
-    A cast to float would drop an imaginary part, parse a string, or overflow on a huge integer.
+    `shape` is None (any shape), () or (n,).  A scalar gives a float, an array a float copy,
+    read-only unless `shape` is None.  A cast to float would drop an imaginary part, parse a
+    string, or overflow.
     """
-    values = np.asarray(x)
-    # numpy holds an integer past int64 as an object
-    if values.dtype.kind in "biuf" or all(isinstance(v, Real) for v in values.flat):
-        try:
-            values = values.astype(float, copy=False)
+    try:
+        values = np.asarray(x)
+        # numpy holds an integer past int64 as an object
+        real = values.dtype.kind in "biuf" or all(isinstance(v, Real) for v in values.flat)
+        if real and shape in (None, values.shape):
+            values = values.astype(float)
+            values.flags.writeable = shape is None
             return values if values.ndim else float(values)
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be a real number, or an array of them, in the float range")
+    except (ValueError, OverflowError):  # a ragged nesting, or an integer past the float range
+        pass
+    expected = {None: "a real number, or an array of them,", (): "a real number"}.get(shape)
+    raise ValueError(f"{name} must be {expected or f'a real {shape[0]}-vector'} in the float range")
 
 
 def unit_vector(n):
-    """Validate and return a real unit 3-vector as a float array."""
-    n = as_real(n, "direction")
-    if getattr(n, "shape", ()) != (3,):  # as_real gives a scalar as a float
-        raise ValueError(f"direction must be a real 3-vector, got shape {np.shape(n)}")
+    """Validate and return a real unit 3-vector as a read-only float array."""
+    n = as_real(n, "direction", (3,))
     # hypot scales its arguments, so a huge entry gives its length, not an overflow warning
     norm = math.hypot(*n)
     if not abs(norm - 1.0) < ATOL:
@@ -74,9 +77,9 @@ def spin_observable(n):
 class OrthoFrame:
     """Ordered pair of unit measurement directions and their inner product.
 
-    ``c`` is the inner product n1.n2.  Orthogonality is *not* required: the
-    functional is defined on any pair, and ``c`` says how far a frame is from
-    orthogonal.
+    n1 and n2 are read-only float copies, so the caller's arrays cannot move them.  ``c`` is
+    the inner product n1.n2.  Orthogonality is *not* required: the functional is defined on
+    any pair, and ``c`` says how far a frame is from orthogonal.
     """
 
     n1: np.ndarray
@@ -84,11 +87,9 @@ class OrthoFrame:
     c: float = field(init=False)
 
     def __post_init__(self):
-        n1 = unit_vector(self.n1)
-        n2 = unit_vector(self.n2)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "c", float(np.dot(n1, n2)))
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, unit_vector(getattr(self, name)))
+        object.__setattr__(self, "c", float(np.dot(self.n1, self.n2)))
 
 
 def weyl_operator(d, p, q):

@@ -417,13 +417,13 @@ def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0):
     end1 = e_ghz(rho1, restarts=restarts, seed=seed)
     end2 = e_ghz(rho2, restarts=restarts, seed=seed + 1)
     mixture_values, chord_values = [], []
-    for idx, p in enumerate(p_grid):
+    for idx, p in enumerate(weights.tolist()):
         mixed = QuantumState(rho1.local_dim, density=p * d1 + (1.0 - p) * d2)
         mixture_values.append(e_ghz(mixed, restarts=restarts, seed=seed + 2 + idx))
         chord_values.append(p * end1 + (1.0 - p) * end2)
     violation = max(m - c for m, c in zip(mixture_values, chord_values))
     return ConvexityReport(
-        p_grid=tuple(float(p) for p in p_grid),
+        p_grid=tuple(weights.tolist()),
         mixture_values=tuple(mixture_values),
         chord_values=tuple(chord_values),
         max_violation=float(violation),

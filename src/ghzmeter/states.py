@@ -95,7 +95,7 @@ class AcinParams:
 
     def __post_init__(self):
         try:
-            lams, phi = as_real(self.lambdas, "lambda coefficients"), as_real(self.phi, "phi")
+            lams, phi = self.lambdas, as_real(self.phi, "phi", ())
         except ValueError as err:
             raise StateError(str(err)) from None
         # checked before squaring, so a huge lambda cannot overflow
@@ -109,9 +109,8 @@ class AcinParams:
 
     @property
     def lambdas(self):
-        return np.array(
-            [self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4]
-        )
+        lams = (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
+        return as_real(lams, "lambda coefficients", (5,))
 
     @property
     def mu(self):

@@ -11,6 +11,7 @@ from ghzmeter.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    as_real,
     max_norm,
     symplectic_form,
     unit_vector,
@@ -101,6 +102,38 @@ def test_ortho_frame_scalars(rng):
 def test_ortho_frame_orthogonality_flag():
     assert OrthoFrame([1, 0, 0], [0, 1, 0]).c == 0.0
     assert OrthoFrame([1, 0, 0], [1, 0, 0]).c == 1.0
+
+
+def test_ortho_frame_stores_read_only_copies():
+    a = np.array([1.0, 0.0, 0.0])
+    frame = OrthoFrame(a, [0, 1, 0])
+    a[:] = [0.0, 1.0, 0.0]
+    assert frame.n1 is not a and np.array_equal(frame.n1, [1.0, 0.0, 0.0])
+    assert not frame.n1.flags.writeable and not frame.n2.flags.writeable
+    with pytest.raises(ValueError):
+        frame.n2[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "x, shape, expected",
+    [
+        ([0.3], (), "a real number"),
+        (0.3, (3,), "a real 3-vector"),
+        ([[1], [0, 1]], None, "a real number, or an array of them"),
+    ],
+)
+def test_as_real_names_the_argument_and_the_shape(x, shape, expected):
+    with pytest.raises(ValueError, match=f"x must be {expected}"):
+        as_real(x, "x", shape)
+
+
+def test_as_real_returns_floats_and_copies():
+    assert type(as_real(np.int64(3), "x", ())) is float and type(as_real(3, "x")) is float
+    a = np.array([1, 2, 3])
+    fixed, free = as_real(a, "x", (3,)), as_real(a, "x")
+    assert fixed.dtype == free.dtype == float and not fixed.flags.writeable
+    free[0] = 0.0  # a copy with shape=None too, so the caller's array is untouched
+    assert a[0] == 1 and fixed[0] == 1.0
 
 
 def test_unit_vector_validation():

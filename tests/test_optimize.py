@@ -49,7 +49,7 @@ from ghzmeter.optimize import (
     maximize_mermin,
     rotation_from_vector,
 )
-from ghzmeter.states import haar_random_pure
+from ghzmeter.states import apply_local_unitaries, haar_random_pure, haar_random_unitary
 
 from conftest import random_mixed_state, random_orthogonal_frame
 
@@ -473,6 +473,16 @@ def test_convexity_probe_ghz_vs_mixed():
     assert report.max_violation <= 1e-4
 
 
+def test_convexity_probe_reads_the_validated_weights():
+    # a float32 grid would otherwise make the chord values float32
+    reports = [
+        convexity_probe(make_ghz(2), make_w(), p_grid=grid, restarts=1, seed=0)
+        for grid in ([0.5], np.array([0.5]), np.float32([0.5]))
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert all(type(p) is float for p in reports[2].p_grid)
+
+
 def test_lu_invariance_quick():
     reference, values, deviation = lu_invariance_check(
         make_ghz(2), seed=4, trials=5, restarts=40
@@ -489,3 +499,13 @@ def test_per_party_rotations_move_the_supremum():
     )
     assert deviation > 0.1
     assert all(v <= 1.0 + 1e-9 for v in values)
+
+
+def test_per_party_unitaries_on_ghz_give_these_search_values():
+    # GHZ under three independent Haar unitaries per state: the shared-frame
+    # search drops from 2, to 0.754 on the third state, below |000>'s 1
+    rng = np.random.default_rng(5)
+    expected = (1.332593083671799, 1.4146788166378603, 0.7535370151553951)
+    for value in expected:
+        state = apply_local_unitaries(make_ghz(2), *(haar_random_unitary(2, rng) for _ in range(3)))
+        assert abs(maximize_I(state, restarts=300, seed=0).best_value - value) < 1e-9

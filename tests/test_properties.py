@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzmeter import (
@@ -18,6 +18,7 @@ from ghzmeter import (
     closed_form_from_mu,
     haar_random_pure,
     lu_invariance_check,
+    make_acin,
     make_ghz,
     make_ghz_basis_element,
     make_w,
@@ -104,11 +105,21 @@ def test_weyl_operator_is_unitary_monomial_or_raises(d, p, q):
     assert np.allclose(w.conj().T @ w, np.eye(d), atol=1e-12, rtol=0)
 
 
+# a list in place of a real number, holding one or two of the values around it
+def listed(values):
+    return values | st.lists(values, min_size=1, max_size=2)
+
+
+ACIN_VALUES = FLOATS | st.sampled_from([0.0, 0.6, 0.8, 1.0]) | NOT_FLOATS
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    lambdas=st.lists(FLOATS | st.sampled_from([0.0, 0.6, 0.8]) | NOT_FLOATS, min_size=5, max_size=5),
-    phi=FLOATS | NOT_FLOATS,
+    lambdas=st.lists(listed(ACIN_VALUES), min_size=5, max_size=5),
+    phi=listed(FLOATS | NOT_FLOATS),
 )
+@example(lambdas=[[1.0], [0.0], [0.0], [0.0], [0.0]], phi=0.0)
+@example(lambdas=[1.0, 0.0, 0.0, 0.0, 0.0], phi=[0.0])
 def test_acin_params_is_valid_or_raises(lambdas, phi):
     try:
         params = AcinParams(*lambdas, phi=phi)
@@ -116,11 +127,14 @@ def test_acin_params_is_valid_or_raises(lambdas, phi):
         return
     assert np.all(np.isfinite(params.lambdas)) and abs(np.sum(params.lambdas**2) - 1) < 1e-9
     assert 0 <= params.phi <= np.pi
+    assert np.isfinite(params.mu) and abs(np.linalg.norm(make_acin(params).vector) - 1) < 1e-9
 
 
 # the closed forms on the canonical family: |I| <= 2 wherever they accept the input
 @settings(max_examples=200, deadline=None)
-@given(x=FLOATS | st.floats(-0.6, 0.6) | NOT_FLOATS)
+@given(x=listed(FLOATS | st.floats(-0.6, 0.6) | NOT_FLOATS))
+@example(x=[0.3])
+@example(x=[0.1, 0.2])
 def test_closed_forms_are_valid_or_raise(x):
     for closed_form in (closed_form_from_mu, schmidt_subfamily_I, tau3_relation):
         try:
@@ -163,12 +177,19 @@ def test_huge_integer_is_not_formatted_into_its_error(call, error, name):
 
 NUMBERS = st.integers(-1, 4) | st.floats(-1, 5) | FLOATS | st.integers(-(2**70), 2**70)
 LABELS = (
-    st.tuples(NUMBERS, NUMBERS) | st.lists(NUMBERS, max_size=3).map(tuple) | st.integers() | st.none()
+    st.tuples(NUMBERS, NUMBERS)
+    | st.lists(NUMBERS, max_size=3).map(tuple)
+    | st.lists(NUMBERS, max_size=3)
+    | st.lists(st.integers(-1, 4), max_size=3).map(np.array)
+    | st.tuples(st.tuples(NUMBERS, NUMBERS), NUMBERS)
+    | st.integers()
+    | st.none()
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(d=NUMBERS, g1=LABELS, g2=LABELS)
+@example(d=3, g1=[1, 0], g2=np.array([0, 1]))
 def test_qudit_gen_pair_is_valid_or_raises(d, g1, g2):
     try:
         pair = QuditGenPair(d, g1, g2)
@@ -176,8 +197,18 @@ def test_qudit_gen_pair_is_valid_or_raises(d, g1, g2):
         return
     assert isinstance(pair.d, int) and pair.d >= 2
     for g in (pair.g1, pair.g2):
-        assert len(g) == 2 and all(isinstance(x, int) and 0 <= x < pair.d for x in g)
+        assert type(g) is tuple and len(g) == 2
+        assert all(isinstance(x, int) and 0 <= x < pair.d for x in g)
     assert pair.symplectic in range(pair.d)
+    # scan_qudit_pairs keys its results by pairs, so a pair equals and hashes like its tuple twin
+    twin = QuditGenPair(d, tuple(int(x) for x in g1), tuple(int(x) for x in g2))
+    assert pair == twin and hash(pair) == hash(twin)
+
+
+@pytest.mark.parametrize("g1, g2, name", [(((1, 2), 3), (0, 1), "g1"), ((0, 1), [[1], [2]], "g2")])
+def test_ragged_generator_is_named_in_its_error(g1, g2, name):
+    with pytest.raises(ValueError, match=f"generator {name}"):
+        QuditGenPair(3, g1, g2)
 
 
 # Free tokens carry no digit, so no free token is a count that would make a
