@@ -74,13 +74,14 @@ def parse_direction(flag, text):
     return unit / np.linalg.norm(unit)
 
 
-def emit(args, table_lines, rows):
-    """Write the requested format: human table, CSV, or JSON.
+def emit(args, rows, line, head="", **fields):
+    """Write the rows in the requested format: human table, CSV, or JSON.
 
-    ``rows`` are dicts: their keys, in order, are the CSV header and the JSON keys.
+    ``rows`` are dicts: their keys, in order, are the CSV header and the JSON keys.  The table
+    is ``head``, then ``line`` for each row, formatted with ``fields`` and the row's values.
     """
     if args.format == "table":
-        text = "\n".join(table_lines) + "\n"
+        text = head.format(**fields) + "".join(line.format(**fields, **row) for row in rows)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
@@ -96,10 +97,6 @@ def emit(args, table_lines, rows):
         sys.stdout.write(text)
 
 
-def fmt9(x):
-    return f"{x:.9g}"
-
-
 def pair_columns(pair):
     """Columns g1p, g1q, g2p, g2q, symplectic of a qudit generator pair."""
     (g1p, g1q), (g2p, g2q) = pair.g1, pair.g2
@@ -111,15 +108,13 @@ def cmd_eval(args):
     frame = OrthoFrame(parse_direction("--n1", args.n1), parse_direction("--n2", args.n2))
     e = correlators_from_tensor(pauli_tensor(state), frame.n1, frame.n2)
     value = functional.I_of(e)
-    lines = []
-    if args.format == "table":
-        # numpy's array printer costs more than the evaluation, so only the table pays for it
-        lines = [
-            f"n1 = {frame.n1}  n2 = {frame.n2}  (n1.n2 = {fmt9(frame.c)})",
-            f"e1 = {fmt9(e.e1)}  e2 = {fmt9(e.e2)}  e3 = {fmt9(e.e3)}  e4 = {fmt9(e.e4)}",
-            f"I  = {fmt9(value)}   |I| = {fmt9(abs(value))}",
-        ]
-    emit(args, lines, [dict(e1=e.e1, e2=e.e2, e3=e.e3, e4=e.e4, I=value, abs_I=abs(value))])
+    row = dict(e1=e.e1, e2=e.e2, e3=e.e3, e4=e.e4, I=value, abs_I=abs(value))
+    # numpy's array printer costs more than the evaluation, so the frame is
+    # passed as fields: only a table formats it
+    emit(args, [row],
+         "e1 = {e1:.9g}  e2 = {e2:.9g}  e3 = {e3:.9g}  e4 = {e4:.9g}\n"
+         "I  = {I:.9g}   |I| = {abs_I:.9g}\n",
+         "n1 = {n1}  n2 = {n2}  (n1.n2 = {c:.9g})\n", n1=frame.n1, n2=frame.n2, c=frame.c)
     return 0
 
 
@@ -127,26 +122,22 @@ def cmd_optimize(args):
     state = resolve_state(args)
     result = optimize.maximize_I(state, restarts=args.restarts, seed=args.seed)
     n1, n2 = result.best_frame.n1, result.best_frame.n2
-    lines = [
-        f"sup|I|  = {fmt9(result.best_value)}",
-        f"E_GHZ   = {fmt9(result.e_ghz)}",
-        f"n1      = {n1[0]:.9g},{n1[1]:.9g},{n1[2]:.9g}",
-        f"n2      = {n2[0]:.9g},{n2[1]:.9g},{n2[2]:.9g}",
-        f"restarts = {result.restarts} (converged {result.converged_restarts}), "
-        f"seed = {result.seed}, iterations = {result.iterations_total}",
-    ]
     row = dict(best_value=result.best_value, e_ghz=result.e_ghz)
     row.update(zip(("n1x", "n1y", "n1z", "n2x", "n2y", "n2z"), n1.tolist() + n2.tolist()))
     row.update(restarts=result.restarts, converged_restarts=result.converged_restarts,
                iterations_total=result.iterations_total, seed=result.seed)
-    emit(args, lines, [row])
+    emit(args, [row],
+         "sup|I|  = {best_value:.9g}\nE_GHZ   = {e_ghz:.9g}\n"
+         "n1      = {n1x:.9g},{n1y:.9g},{n1z:.9g}\nn2      = {n2x:.9g},{n2y:.9g},{n2z:.9g}\n"
+         "restarts = {restarts} (converged {converged_restarts}), "
+         "seed = {seed}, iterations = {iterations_total}\n")
     return 0
 
 
 def cmd_scan_mu(args):
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    rows, lines = [], [f"{'mu':>10} {'closed_form':>14} {'direct':>14}"]
+    rows = []
     frame = OrthoFrame([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     for mu in np.linspace(0.0, 0.5, args.steps):
         closed = functional.closed_form_from_mu(mu)
@@ -157,20 +148,20 @@ def cmd_scan_mu(args):
         params = states.AcinParams(lam0, rest, 0.0, 0.0, lam4)
         direct = functional.eval_I(states.make_acin(params), frame)
         rows.append(dict(mu=float(mu), closed_form=closed, direct=direct))
-        lines.append(f"{mu:10.6f} {closed:14.9f} {direct:14.9f}")
-    emit(args, lines, rows)
+    emit(args, rows, "{mu:10.6f} {closed_form:14.9f} {direct:14.9f}\n",
+         f"{'mu':>10} {'closed_form':>14} {'direct':>14}\n")
     return 0
 
 
 def cmd_bench(args):
-    rows, lines = [], [f"{'state':>8} {'sup_abs_I':>12} {'e_ghz':>10}"]
+    rows = []
     for name in ("ghz", "w", "bisep", "product"):
         state = NAMED_STATE_MAKERS[name]()
         result = optimize.maximize_I(state, restarts=args.restarts, seed=args.seed)
         rows.append(dict(state=name, sup_abs_I=result.best_value, e_ghz=result.e_ghz,
                          restarts=args.restarts, seed=args.seed))
-        lines.append(f"{name:>8} {result.best_value:12.6f} {result.e_ghz:10.6f}")
-    emit(args, lines, rows)
+    emit(args, rows, "{state:>8} {sup_abs_I:12.6f} {e_ghz:10.6f}\n",
+         f"{'state':>8} {'sup_abs_I':>12} {'e_ghz':>10}\n")
     return 0
 
 
@@ -187,15 +178,12 @@ def cmd_random(args):
         )
     values = np.array(values)
     quantiles = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-    lines = [
-        f"samples = {args.samples}, restarts per sample = {args.restarts} "
-        f"(reduced), seed = {args.seed}",
-        "sup|I| quantiles (min/q1/median/q3/max): "
-        + " ".join(fmt9(q) for q in quantiles),
-    ]
     row = dict(samples=args.samples, restarts=args.restarts, seed=args.seed)
     row.update(zip(("min", "q1", "median", "q3", "max"), quantiles.tolist()))
-    emit(args, lines, [row])
+    emit(args, [row],
+         "samples = {samples}, restarts per sample = {restarts} (reduced), seed = {seed}\n"
+         "sup|I| quantiles (min/q1/median/q3/max): "
+         "{min:.9g} {q1:.9g} {median:.9g} {q3:.9g} {max:.9g}\n")
     if values.max() >= 2.0 - 1e-3:
         print(
             f"warning: a sample reached sup|I| = {values.max()!r}, "
@@ -221,12 +209,10 @@ def cmd_qudit(args):
         raise ValueError(f"state has local_dim {state.local_dim}, expected {d}")
     if args.scan:
         best, pair, _ = functional.scan_qudit_pairs(state)
-        lines = [
-            f"d = {d}: exhaustive scan over non-commuting generator pairs",
-            f"max |I_d| = {fmt9(best)} at g1 = {pair.g1}, g2 = {pair.g2} "
-            f"(symplectic {pair.symplectic})",
-        ]
-        emit(args, lines, [dict(d=d, **pair_columns(pair), max_abs_Id=best)])
+        emit(args, [dict(d=d, **pair_columns(pair), max_abs_Id=best)],
+             "d = {d}: exhaustive scan over non-commuting generator pairs\n"
+             "max |I_d| = {max_abs_Id:.9g} at g1 = ({g1p}, {g1q}), g2 = ({g2p}, {g2q}) "
+             "(symplectic {symplectic})\n")
         return 0
     try:
         g1 = tuple(int(x) for x in args.g1.split(","))
@@ -236,14 +222,12 @@ def cmd_qudit(args):
         raise ValueError(f"invalid generators: {exc}")
     value = functional.eval_Id(state, pair)
     residual = functional.qudit_product_residual(pair)
-    lines = [
-        f"g1 = {pair.g1}, g2 = {pair.g2}, symplectic = {pair.symplectic}",
-        f"I_d = {fmt9(value.real)} {value.imag:+.9g}i   |I_d| = {fmt9(abs(value))}",
-        f"G1G2G3 vs omega^(2s) G4 residual = {fmt9(residual)}",
-    ]
     row = dict(d=d, **pair_columns(pair))
     row.update(Id_re=value.real, Id_im=value.imag, abs_Id=abs(value), residual=residual)
-    emit(args, lines, [row])
+    emit(args, [row],
+         "g1 = ({g1p}, {g1q}), g2 = ({g2p}, {g2q}), symplectic = {symplectic}\n"
+         "I_d = {Id_re:.9g} {Id_im:+.9g}i   |I_d| = {abs_Id:.9g}\n"
+         "G1G2G3 vs omega^(2s) G4 residual = {residual:.9g}\n")
     return 0
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .correlators import SLOTS, CorrelatorQuad, correlators_from_tensor, pauli_tensor
 from .correlators import tensor_at_columns
 from .linalg import ATOL, as_real, max_norm, symplectic_form, weyl_operator, weyl_root
-from .states import NORM_ATOL, StateError, check_local_dim
+from .states import StateError, check_local_dim
 
 
 def I_of(e):
@@ -54,7 +54,7 @@ def lhv_oracle():
 def closed_form_from_mu(mu):
     """I_of at the canonical correlators e1 = e2 = e3 = -2mu, e4 = 2mu: 8*mu^3 + 2*mu."""
     mu = as_real(mu, "mu", ())
-    if not abs(mu) <= 0.5 + NORM_ATOL:
+    if not abs(mu) <= 0.5 + ATOL:
         raise ValueError(f"mu = lambda0*lambda4 must be finite with |mu| <= 1/2, got {mu!r}")
     return I_of(CorrelatorQuad(-2.0 * mu, -2.0 * mu, -2.0 * mu, 2.0 * mu))
 

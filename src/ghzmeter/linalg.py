@@ -20,10 +20,12 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def kron(*matrices):
-    """Kronecker product of any number of matrices, left to right."""
-    out = np.asarray(matrices[0], dtype=complex)
+    """Kronecker product of one or more matrices, left to right."""
+    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    if not (matrices and all(m.ndim == 2 for m in matrices)):
+        raise ValueError("kron takes one or more matrices, each a 2-D array")
+    out = matrices[0]
     for m in matrices[1:]:
-        m = np.asarray(m, dtype=complex)
         # broadcasting beats np.kron by a wide margin on these tiny matrices
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
             out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]

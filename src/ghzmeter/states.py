@@ -1,14 +1,13 @@
 """Three-party quantum states: named families, random sampling, file I/O."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
 
-from .linalg import as_real, kron, max_norm
+from .linalg import ATOL, as_real, kron, max_norm
 
-NORM_ATOL = 1e-12
 EIGVAL_FLOOR = -1e-10
 # a state holds local_dim**3 amplitudes, and no array is longer than 2**63 - 1
 MAX_LOCAL_DIM = 2**21 - 1
@@ -50,7 +49,7 @@ class QuantumState:
                 )
             with np.errstate(over="ignore"):  # a norm past the float range reads inf
                 norm = np.linalg.norm(v)
-            if not abs(norm - 1.0) < NORM_ATOL:
+            if not abs(norm - 1.0) < ATOL:
                 raise StateError(f"pure state not normalized: ||psi|| = {norm!r}")
             v.setflags(write=False)
             object.__setattr__(self, "vector", v)
@@ -62,10 +61,10 @@ class QuantumState:
                 )
             if not np.all(np.isfinite(rho)):
                 raise StateError("density matrix has non-finite entries")
-            if not max_norm(rho - rho.conj().T) < NORM_ATOL:
+            if not max_norm(rho - rho.conj().T) < ATOL:
                 raise StateError("density matrix is not Hermitian")
             tr = np.trace(rho).real
-            if not abs(tr - 1.0) < NORM_ATOL:
+            if not abs(tr - 1.0) < ATOL:
                 raise StateError(f"density matrix trace must be 1, got {tr!r}")
             if np.min(np.linalg.eigvalsh(rho)) < EIGVAL_FLOOR:
                 raise StateError("density matrix has a negative eigenvalue")
@@ -84,7 +83,11 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class AcinParams:
-    """Canonical-form coordinates lambda_0..lambda_4 in [0, 1], phi in [0, pi]."""
+    """Canonical-form coordinates lambda_0..lambda_4 in [0, 1], phi in [0, pi].
+
+    The six are stored as the floats they were checked as, so the caller's arrays cannot
+    move them and equal params hash alike.
+    """
 
     lambda0: float
     lambda1: float
@@ -94,23 +97,25 @@ class AcinParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        lams = (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
         try:
-            lams, phi = self.lambdas, as_real(self.phi, "phi", ())
+            lams, phi = as_real(lams, "lambda coefficients", (5,)), as_real(self.phi, "phi", ())
         except ValueError as err:
             raise StateError(str(err)) from None
         # checked before squaring, so a huge lambda cannot overflow
-        if not np.all((lams >= 0) & (lams <= 1.0 + NORM_ATOL)):
+        if not np.all((lams >= 0) & (lams <= 1.0 + ATOL)):
             raise StateError(f"lambda coefficients must lie in [0, 1]: {lams}")
         total = float(np.sum(lams**2))
-        if not abs(total - 1.0) < NORM_ATOL:
+        if not abs(total - 1.0) < ATOL:
             raise StateError(f"sum of lambda_i^2 must be 1, got {total!r}")
         if not 0.0 <= phi <= np.pi:
             raise StateError(f"phi must lie in [0, pi], got {phi!r}")
+        for f, value in zip(fields(self), [*lams.tolist(), phi]):
+            object.__setattr__(self, f.name, value)
 
     @property
     def lambdas(self):
-        lams = (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
-        return as_real(lams, "lambda coefficients", (5,))
+        return np.array([self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4])
 
     @property
     def mu(self):

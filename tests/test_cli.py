@@ -300,39 +300,46 @@ def test_qudit_invalid_generators(capsys):
     assert "generator" in err
 
 
-# CSV header and JSON keys of every command, in order
+# CSV header and JSON keys of every command, in order, and the lines of its table:
+# the head's, then the row template's for each row
 COLUMNS = {
     "eval": (
         ["eval", "--state", "w", "--n1", "0,0,1", "--n2", "1,0,0"],
         ["e1", "e2", "e3", "e4", "I", "abs_I"],
+        (1, 2),
     ),
     "optimize": (
         ["optimize", "--state", "w", "--restarts", "2", "--seed", "0"],
         ["best_value", "e_ghz", "n1x", "n1y", "n1z", "n2x", "n2y", "n2z",
          "restarts", "converged_restarts", "iterations_total", "seed"],
+        (0, 5),
     ),
-    "scan-mu": (["scan-mu", "--steps", "3"], ["mu", "closed_form", "direct"]),
+    "scan-mu": (["scan-mu", "--steps", "3"], ["mu", "closed_form", "direct"], (1, 1)),
     "bench": (
         ["bench", "--restarts", "2", "--seed", "0"],
         ["state", "sup_abs_I", "e_ghz", "restarts", "seed"],
+        (1, 1),
     ),
     "random": (
         ["random", "--samples", "2", "--restarts", "2", "--seed", "0"],
         ["samples", "restarts", "seed", "min", "q1", "median", "q3", "max"],
+        (0, 2),
     ),
     "qudit": (
         ["qudit"],
         ["d", "g1p", "g1q", "g2p", "g2q", "symplectic", "Id_re", "Id_im", "abs_Id", "residual"],
+        (0, 3),
     ),
     "qudit-scan": (
         ["qudit", "--scan"],
         ["d", "g1p", "g1q", "g2p", "g2q", "symplectic", "max_abs_Id"],
+        (0, 2),
     ),
 }
 
 
-@pytest.mark.parametrize("argv, header", COLUMNS.values(), ids=COLUMNS)
-def test_output_columns(capsys, argv, header):
+@pytest.mark.parametrize("argv, header, table", COLUMNS.values(), ids=COLUMNS)
+def test_output_columns(capsys, argv, header, table):
     code, out, _ = run(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert next(csv.reader(out.splitlines())) == header
@@ -340,6 +347,46 @@ def test_output_columns(capsys, argv, header):
     assert code == 0
     rows = json.loads(out)
     assert rows and all(list(row) == header for row in rows)
+    code, out, _ = run(capsys, argv + ["--format", "table"])
+    head_lines, row_lines = table
+    assert code == 0 and out.endswith("\n")
+    assert out.count("\n") == head_lines + row_lines * len(rows)
+
+
+# tables whose printed digits are exact on any platform, byte for byte
+TABLES = {
+    "eval": (
+        ["eval", "--state", "ghz", "--n1", "1,0,0", "--n2", "0,1,0"],
+        "n1 = [1. 0. 0.]  n2 = [0. 1. 0.]  (n1.n2 = 0)\n"
+        "e1 = -1  e2 = -1  e3 = -1  e4 = 1\n"
+        "I  = 2   |I| = 2\n",
+    ),
+    "scan-mu": (
+        ["scan-mu", "--steps", "3"],
+        "        mu    closed_form         direct\n"
+        "  0.000000    0.000000000    0.000000000\n"
+        "  0.250000    0.625000000    0.625000000\n"
+        "  0.500000    2.000000000    2.000000000\n",
+    ),
+    "bench": (
+        ["bench", "--restarts", "30", "--seed", "0"],
+        "   state    sup_abs_I      e_ghz\n"
+        "     ghz     2.000000   1.000000\n"
+        "       w     1.296296   0.648148\n"
+        "   bisep     1.000000   0.500000\n"
+        " product     1.000000   0.500000\n",
+    ),
+    "qudit-scan": (
+        ["qudit", "--d", "3", "--state", "ghz", "--scan"],
+        "d = 3: exhaustive scan over non-commuting generator pairs\n"
+        "max |I_d| = 1 at g1 = (1, 1), g2 = (0, 1) (symplectic 1)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, table", TABLES.values(), ids=TABLES)
+def test_table_layout(capsys, argv, table):
+    assert run(capsys, argv) == (0, table, "")
 
 
 def test_state_file_round_trip(capsys, tmp_path):

@@ -34,6 +34,14 @@ def test_kron_zz_diagonal():
     assert np.allclose(np.diag(kron(SIGMA_Z, SIGMA_Z)), [1, -1, -1, 1])
 
 
+@pytest.mark.parametrize(
+    "matrices", [(), ([1, 0], [0, 1]), (IDENTITY_2, [1, 0]), (np.zeros((2, 2, 2)),)]
+)
+def test_kron_rejects_what_is_not_matrices(matrices):
+    with pytest.raises(ValueError, match="2-D array"):
+        kron(*matrices)
+
+
 def test_spin_observable_axes():
     assert np.allclose(spin_observable([1, 0, 0]), SIGMA_X)
     assert np.allclose(spin_observable([0, 0, 1]), SIGMA_Z)

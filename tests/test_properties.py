@@ -1,6 +1,7 @@
 """Property tests of the input boundary: constructors and the CLI on fuzzed input."""
 
 import contextlib
+import dataclasses
 import io
 import os
 
@@ -120,11 +121,14 @@ ACIN_VALUES = FLOATS | st.sampled_from([0.0, 0.6, 0.8, 1.0]) | NOT_FLOATS
 )
 @example(lambdas=[[1.0], [0.0], [0.0], [0.0], [0.0]], phi=0.0)
 @example(lambdas=[1.0, 0.0, 0.0, 0.0, 0.0], phi=[0.0])
+@example(lambdas=[np.array(0.6), 0.8, 0, 0, 0], phi=np.array(0.5))
 def test_acin_params_is_valid_or_raises(lambdas, phi):
     try:
         params = AcinParams(*lambdas, phi=phi)
     except StateError:
         return
+    assert all(type(v) is float for v in dataclasses.astuple(params))
+    assert hash(params) == hash(AcinParams(*params.lambdas, phi=params.phi))
     assert np.all(np.isfinite(params.lambdas)) and abs(np.sum(params.lambdas**2) - 1) < 1e-9
     assert 0 <= params.phi <= np.pi
     assert np.isfinite(params.mu) and abs(np.linalg.norm(make_acin(params).vector) - 1) < 1e-9

@@ -249,6 +249,14 @@ def test_acin_rejects_non_finite(bad):
         AcinParams(1, 0, 0, 0, 0, phi=bad)
 
 
+def test_acin_params_keep_the_values_they_checked():
+    a, b = np.array(0.6), np.array(0.8)
+    params = AcinParams(a, 0, 0, 0, b)
+    a[...], b[...] = 0.8, 0.6  # the caller swaps its arrays in place
+    assert (params.lambda0, params.lambda4) == (0.6, 0.8)
+    assert np.array_equal(make_acin(params).vector, make_acin(AcinParams(0.6, 0, 0, 0, 0.8)).vector)
+
+
 def test_maximally_mixed():
     mm = maximally_mixed(2)
     assert mm.kind == "mixed"
