@@ -86,21 +86,31 @@ def tensor_at_columns(tensor, c):
     return t.reshape(lead + (m, m, m))
 
 
+def _finite_real(components):
+    """The stacked components of two directions, or a ValueError unless all are finite reals."""
+    if not (components.dtype.kind in "biuf" and np.isfinite(components).all()):
+        raise ValueError("directions must hold finite real numbers")
+    return components
+
+
 def monomials(n1, n2):
     """MONOMIALS of the directions (n1, n2): (28,) for two 3-vectors, (28, ...) for (..., 3) arrays.
 
     Two 3-vectors take one gather of their stacked components.  Arrays are
     broadcast and stacked as the contiguous rows of a (6, N) array, and the
     monomials are filled row by row, so that no temporary exceeds a row.
+    A stack with an entry that is not a finite real raises (:func:`_finite_real`).
     """
     shapes = np.shape(n1), np.shape(n2)
     if shapes[0][-1:] != (3,) or shapes[1][-1:] != (3,):
         raise ValueError(f"directions need a last axis of length 3, got {shapes[0]}, {shapes[1]}")
     if len(shapes[0]) == len(shapes[1]) == 1:
-        return np.multiply.reduce(np.concatenate((n1, n2))[FACTORS])
+        return np.multiply.reduce(_finite_real(np.concatenate((n1, n2)))[FACTORS])
     n1, n2 = np.broadcast_arrays(n1, n2)
-    v = np.empty((6, n1[..., 0].size))
+    # float, unless a complex or object entry must reach the check uncast
+    v = np.empty((6, n1[..., 0].size), np.result_type(n1, n2, float))
     v[:3], v[3:] = n1.reshape(-1, 3).T, n2.reshape(-1, 3).T
+    _finite_real(v)
     table = np.empty((len(MONOMIALS), v.shape[1]))
     for row, a, b, c in zip(table, *FACTORS):
         np.multiply(v[a], v[b], out=row)

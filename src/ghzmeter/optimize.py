@@ -198,20 +198,21 @@ def _chart_table(columns):
 def _starts(columns):
     """The fixed starts of a search over `columns`, built on the first search that needs them.
 
-    Start i is the stack of rotations grid[order[i]] over the p row orders:
-    the identity and, for a second rotation, a fixed shuffle.  Returns the
-    grid of :func:`_start_grid`, the orders and the :func:`monomials` of the
-    starts' directions (28, SAMPLES), from which
+    Start i is the stack of p rotations of the grid of :func:`_start_grid`:
+    grid[i] and, for a second rotation, grid[pairing[i]] under a fixed
+    shuffle.  Returns the starts (SAMPLES, p, 3, 3) and the :func:`monomials`
+    of their directions (28, SAMPLES), from which
     :func:`correlators_from_monomials` gives their e1..e4 on any tensor.
     """
     grid = _start_grid(GRID_CELLS)
     # pairing each cell r with -r left M3 0.13 short at 60 restarts on some states
     pairing = np.random.default_rng(0).permutation(SAMPLES)
-    orders = (np.arange(SAMPLES), pairing)[: 1 + max(r for r, _ in columns)]
-    table = monomials(*(grid[orders[r], :, c] for r, c in columns))
+    p = 1 + max(r for r, _ in columns)
+    starts = grid[np.stack((np.arange(SAMPLES), pairing)[:p], axis=1)]
+    table = monomials(*_directions(starts, columns))
     # every search of the process shares them
-    grid.flags.writeable = table.flags.writeable = False
-    return grid, orders, table
+    starts.flags.writeable = table.flags.writeable = False
+    return starts, table
 
 
 def _directions(rotations, columns):
@@ -251,10 +252,9 @@ def _polish(tensor, functional, columns, rotations):
     together.  A row moves to its best trial if that gains, and damp becomes
     a third of that trial's damping; if no trial gains, damp becomes four
     times the largest.  A row retires once the largest gain its quadratic
-    model predicts is at most GAIN_ATOL.  Returns the final rotations, their
-    values and the row-passes, the number of passes summed over the rows.
+    model predicts is at most GAIN_ATOL.  Returns `rotations`, moved in place,
+    their values and the row-passes, the number of passes summed over the rows.
     """
-    rotations = rotations.copy()
     k, p = rotations.shape[:2]
     values, grad, hess = _derivatives(tensor, functional, columns, rotations)
     damp = np.full(k, INITIAL_DAMPING)
@@ -327,12 +327,11 @@ def _search(tensor, functional, columns, restarts, seed):
     check_seed(seed)
     if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
         raise ValueError(f"restarts must be an integer in [1, {SAMPLES}]")
-    grid, orders, table = _starts(columns)
+    starts, table = _starts(columns)
     r0 = haar_rotations(np.random.default_rng(seed))
     rotated = tensor_at_columns(tensor, r0)
     rows = _best_rows(np.abs(functional(correlators_from_monomials(rotated, table))), restarts)
-    starts = np.stack([grid[order[rows]] for order in orders], axis=1)
-    rotations, values, iterations = _polish(rotated, functional, columns, starts)
+    rotations, values, iterations = _polish(rotated, functional, columns, starts[rows])
     best = int(np.argmax(values))
     frame = OrthoFrame(*(r0 @ d for d in _directions(rotations[best], columns)))
     value = float(abs(functional(correlators_from_tensor(tensor, frame.n1, frame.n2))))
@@ -430,15 +429,12 @@ def convexity_probe(rho1, rho2, p_grid=None, restarts=60, seed=0):
     )
 
 
-def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
+def lu_invariance_check(state, seed=0, trials=20, restarts=60):
     """Recompute the indicator along random local-unitary orbits of a state.
 
     Each trial applies a Haar-random single-qubit unitary collectively
     (U, U, U); such a rotation only re-labels the direction frame, so the
-    supremum is exactly invariant.  With ``per_party=True`` three
-    independent unitaries are drawn instead; because the frame pair is
-    shared across parties, the supremum is generally *not* preserved in
-    that case, and the returned deviation records how far it moves.
+    supremum is exactly invariant.
 
     Returns (reference, values, max_deviation).
     """
@@ -448,11 +444,7 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60, per_party=False):
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(trials):
-        if per_party:
-            ua, ub, uc = (haar_random_unitary(2, rng) for _ in range(3))
-        else:
-            ua = ub = uc = haar_random_unitary(2, rng)
-        rotated = apply_local_unitaries(state, ua, ub, uc)
-        values.append(e_ghz(rotated, restarts=restarts, seed=seed))
+        u = haar_random_unitary(2, rng)
+        values.append(e_ghz(apply_local_unitaries(state, u, u, u), restarts=restarts, seed=seed))
     deviation = max(abs(v - reference) for v in values)
     return reference, values, float(deviation)

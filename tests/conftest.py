@@ -1,10 +1,17 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
 
 from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable, weyl_operator
 from ghzmeter.linalg import max_norm
+
+
+def _mixed_file(density):
+    """The state file of a real 8x8 density matrix, as bytes."""
+    pairs = [[[x, 0.0] for x in row] for row in density.tolist()]
+    return json.dumps({"local_dim": 2, "kind": "mixed", "density": pairs}).encode()
 
 
 # Malformed state files as raw bytes; load_state must reject each with StateError
@@ -23,6 +30,9 @@ MALFORMED_STATE_FILES = {
     "top-level-list": b"[2, 3]",
     "not-utf8": b'{"local_dim": 2, "kind": "\xff"}',
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    # unit-trace densities that are not Hermitian, or not positive semidefinite
+    "density-not-hermitian": _mixed_file(np.eye(8) / 8 + 0.1 * np.eye(8, k=1)),
+    "density-negative-eigenvalue": _mixed_file(np.diag([0.6, 0.6, -0.2, 0, 0, 0, 0, 0])),
 }
 
 

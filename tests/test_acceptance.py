@@ -34,7 +34,7 @@ from ghzmeter.correlators import correlators_from_tensor, pauli_tensor
 from ghzmeter.optimize import maximize_mermin
 from ghzmeter.states import haar_random_pure
 
-from conftest import random_direction, random_orthogonal_frame
+from conftest import random_direction, random_mixed_state, random_orthogonal_frame
 
 FRAME_XY = OrthoFrame([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 FRAME_ZX = OrthoFrame([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -177,6 +177,7 @@ def test_criterion_09_lu_invariance():
         ("ghz", make_ghz(2)),
         ("w", make_w()),
         ("product", make_product([1, 0], [1, 0], [1, 0])),
+        ("mixed", random_mixed_state(np.random.default_rng(0))),
     ):
         _, _, deviation = lu_invariance_check(state, seed=5, trials=20, restarts=60)
         assert deviation < 1e-4, name

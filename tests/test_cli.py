@@ -246,7 +246,8 @@ def test_bench_states(capsys, tmp_path):
         ["bench", "--restarts", "40", "--seed", "0", "--format", "csv", "--output", str(out_path)]
     )
     assert code == 0
-    rows = {r["state"]: float(r["sup_abs_I"]) for r in csv.DictReader(out_path.open())}
+    with out_path.open() as fh:
+        rows = {r["state"]: float(r["sup_abs_I"]) for r in csv.DictReader(fh)}
     assert abs(rows["ghz"] - 2.0) < 1e-6
     assert abs(rows["w"] - 35 / 27) < 1e-6
     assert abs(rows["bisep"] - 1.0) < 1e-6

@@ -154,9 +154,24 @@ def test_correlators_reject_directions_without_three_components(rng, shape):
             correlators_from_tensor(tensor, n1, n2)
 
 
+@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize(
+    "entry", [1j, np.nan, np.inf, -np.inf, 10**400], ids=["complex", "nan", "inf", "-inf", "huge"]
+)
+def test_correlators_reject_directions_that_are_not_finite_reals(rng, lead, entry):
+    # a complex (k, 3) array would lose its imaginary part, and 10**400 overflow a float
+    tensor = pauli_tensor(random_mixed_state(rng))
+    good = random_directions(rng, lead)
+    bad = good.tolist()
+    (bad[0] if lead else bad)[0] = entry
+    for n1, n2 in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="directions must hold finite real numbers"):
+            correlators_from_tensor(tensor, n1, n2)
+
+
 def test_correlators_score_batch_matches_operators(rng):
     # the starts of maximize_I
-    grid = _starts(FRAME_COLUMNS)[0]
+    grid = _starts(FRAME_COLUMNS)[0][:, 0]
     assert_matches_operators(random_mixed_state(rng), grid[..., 0], grid[..., 1])
 
 

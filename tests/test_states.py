@@ -203,6 +203,10 @@ def test_state_validation_errors():
         QuantumState(2, density=np.eye(8) / 4)  # trace 2
     with pytest.raises(StateError):
         QuantumState(2)
+    with pytest.raises(StateError, match="density matrix is not Hermitian"):
+        QuantumState(2, density=np.eye(8) / 8 + 0.1 * np.eye(8, k=1))  # trace 1
+    with pytest.raises(StateError, match="density matrix has a negative eigenvalue"):
+        QuantumState(2, density=np.diag([0.6, 0.6, -0.2, 0, 0, 0, 0, 0]))
 
 
 @pytest.mark.parametrize(
