@@ -134,8 +134,19 @@ def correlators_from_tensor(tensor, n1, n2):
 
     Two 3-vectors give numpy float scalars.  Directions of shape (..., 3)
     broadcast and give e1..e4 of their leading shape, one per pair of rows.
+    Finite directions whose e1..e4 overflow, such as a component of 1e103,
+    whose cube passes the float range, raise ValueError, and no warning.
+    From finite directions, e1..e4 can only fail to be finite through an
+    overflow, and an overflow always leaves some e_i infinite or NaN.
     """
-    return correlators_from_monomials(tensor, monomials(n1, n2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return correlators_from_monomials(tensor, monomials(n1, n2))
+    except FloatingPointError:
+        largest = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
+        raise ValueError(
+            f"e1..e4 overflow at the directions n1, n2, with |components| up to {largest:.3g}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ GAIN_ATOL = 1e-15
 CONVERGENCE_ATOL = 1e-8
 # dampings that every polish pass tries at once, ascending, as multiples of a row's damping
 LADDER = np.array([1.0 / 3.0, 2.0, 12.0])
+# angle (rad) within which two polish rows' n1 and n2, each up to sign, make them twins
+TWIN_RADIUS = 0.2
+# rows that _retire_twins compares at once, so that no array of it exceeds TWIN_BLOCK**2 entries
+TWIN_BLOCK = 256
 
 # (rotation, column) of n1 and of n2 in a stack of rotations: maximize_I takes
 # the first two columns of one rotation, maximize_mermin the third column of each of two
@@ -107,9 +111,14 @@ class OptimizationResult:
 
     `best_value` is |functional| evaluated once at (best_frame.n1,
     best_frame.n2), so it equals that evaluation bit for bit.  `restarts`
-    and `seed` are as given, `iterations_total` counts the polish's
-    row-passes and `converged_restarts` the rows that ended within
-    CONVERGENCE_ATOL of the best.  `e_ghz` is meaningful for |I| only.
+    and `seed` are the given integers as Python ints.  The polish retires a
+    row that, after a pass, lies within TWIN_RADIUS of an earlier kept row
+    in n1 and in n2, each up to sign, since |I| and |M3| are unchanged by
+    n1 -> -n1 and by n2 -> -n2 alone.  `iterations_total` counts the
+    row-passes the polish ran, which such twins cut short.
+    `converged_restarts` counts the rows that ended within CONVERGENCE_ATOL
+    of the best, a twin by the final value of the row it was retired for.
+    `e_ghz` is meaningful for |I| only.
     """
 
     best_value: float
@@ -252,13 +261,18 @@ def _polish(tensor, functional, columns, rotations):
     together.  A row moves to its best trial if that gains, and damp becomes
     a third of that trial's damping; if no trial gains, damp becomes four
     times the largest.  A row retires once the largest gain its quadratic
-    model predicts is at most GAIN_ATOL.  Returns `rotations`, moved in place,
-    their values and the row-passes, the number of passes summed over the rows.
+    model predicts is at most GAIN_ATOL, or once, after a pass, it is a twin
+    of an earlier kept row (:func:`_retire_twins`); a retired row keeps its
+    rotation and value.  A row's retirement depends only on earlier rows, so
+    every kept row takes the same path, up to rounding, at any row count.
+    Returns `rotations`, moved in place, their values, `twin_of`, the row
+    each row was retired as a twin of (itself if kept), and the row-passes,
+    the number of passes summed over the rows.
     """
     k, p = rotations.shape[:2]
     values, grad, hess = _derivatives(tensor, functional, columns, rotations)
     damp = np.full(k, INITIAL_DAMPING)
-    active, iterations = np.arange(k), 0
+    active, twin_of, iterations = np.arange(k), np.arange(k), 0
     for _ in range(MAX_ITER):
         lam, vec = np.linalg.eigh(hess[active])
         ladder = damp[active, None] * LADDER
@@ -281,7 +295,63 @@ def _polish(tensor, functional, columns, rotations):
         rotations[moved], values[moved] = trials[best], t_values[best]
         grad[moved], hess[moved] = t_grad[best], t_hess[best]
         iterations += active.size
-    return rotations, values, iterations
+        active = _retire_twins(twin_of, active, *_directions(rotations, columns))
+    return rotations, values, twin_of, iterations
+
+
+def _retire_twins(twin_of, active, n1, n2):
+    """Retire every active row that is a twin of an earlier kept row; returns the active rows left.
+
+    Rows i < j are twins when |n1_i . n1_j| and |n2_i . n2_j| are both at
+    least cos TWIN_RADIUS.  Every e_i holds n1 an odd and n2 an even number
+    of times (SLOTS), so |I| and |M3| are unchanged by n1 -> -n1 and by
+    n2 -> -n2 alone, and twins climb to one value.  The kept rows are those
+    with twin_of[i] == i, whether still active or not.  In index order, an
+    active row is retired when an earlier row that stays kept is its twin:
+    twin_of[j] becomes the first such row, and so does twin_of of the rows
+    retired for j before.  The kept rows are taken in blocks of TWIN_BLOCK, each
+    compared with the rows still kept in every earlier block and then with
+    itself, so no array exceeds TWIN_BLOCK**2 entries.
+    """
+    if not active.size:
+        return active
+    cos = np.cos(TWIN_RADIUS)
+    # rows after the last active row can retire none
+    last = active[-1] + 1
+    movable = np.zeros(last, bool)
+    movable[active] = True
+    kept = np.flatnonzero(twin_of[:last] == np.arange(last))
+    directions = np.stack((n1, n2))
+
+    def twins(a, b):
+        near = np.abs(directions[:, a] @ directions[:, b].swapaxes(1, 2)) >= cos
+        return near[0] & near[1]
+
+    for start in range(0, len(kept), TWIN_BLOCK):
+        block = kept[start : start + TWIN_BLOCK]
+        for earlier in range(0, start, TWIN_BLOCK):
+            ref = kept[earlier : earlier + TWIN_BLOCK]
+            ref, rows = ref[twin_of[ref] == ref], block[movable[block]]
+            if not (ref.size and rows.size):
+                continue
+            hit = twins(ref, rows)
+            found = hit.any(axis=0)
+            twin_of[rows[found]] = ref[hit.argmax(axis=0)[found]]
+            movable[rows[found]] = False
+        block = block[twin_of[block] == block]
+        # hit[i, j]: row i is an earlier twin of row j.  A row with no earlier
+        # twin stays; an open row is decided once none of its earlier twins is open
+        hit = twins(block, block) & (block[:, None] < block)
+        stays = ~(movable[block] & hit.any(axis=0))
+        open_ = ~stays
+        while open_.any():
+            by_kept = stays @ hit
+            stays |= open_ & ~by_kept & ~(open_ @ hit)
+            open_ &= ~(by_kept | stays)
+        if not stays.all():
+            twin_of[block[~stays]] = block[(hit & stays[:, None]).argmax(axis=0)[~stays]]
+    twin_of[:] = twin_of[twin_of]
+    return active[twin_of[active] == active]
 
 
 def _ladder_steps(g, lam, ladder):
@@ -325,18 +395,18 @@ def _search(tensor, functional, columns, restarts, seed):
     turned back by R0.
     """
     check_seed(seed)
-    if not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
+    if isinstance(restarts, bool) or not (isinstance(restarts, Integral) and 1 <= restarts <= SAMPLES):
         raise ValueError(f"restarts must be an integer in [1, {SAMPLES}]")
     starts, table = _starts(columns)
     r0 = haar_rotations(np.random.default_rng(seed))
     rotated = tensor_at_columns(tensor, r0)
     rows = _best_rows(np.abs(functional(correlators_from_monomials(rotated, table))), restarts)
-    rotations, values, iterations = _polish(rotated, functional, columns, starts[rows])
+    rotations, values, twin_of, iterations = _polish(rotated, functional, columns, starts[rows])
     best = int(np.argmax(values))
     frame = OrthoFrame(*(r0 @ d for d in _directions(rotations[best], columns)))
     value = float(abs(functional(correlators_from_tensor(tensor, frame.n1, frame.n2))))
-    converged = int(np.sum(values[best] - values < CONVERGENCE_ATOL))
-    return OptimizationResult(value, frame, restarts, seed, iterations, converged)
+    converged = int(np.sum(values[best] - values[twin_of] < CONVERGENCE_ATOL))
+    return OptimizationResult(value, frame, int(restarts), int(seed), iterations, converged)
 
 
 def maximize_I(state, restarts=DEFAULT_RESTARTS, seed=0):
@@ -361,8 +431,8 @@ def maximize_mermin(state, restarts=100, seed=0):
 
     The directions are independent, not orthogonal: each is the third column
     of its own rotation, from the SAMPLES start pairs (grid[i], grid[pairing[i]])
-    of :func:`_starts`.  M3 is odd under (n1, n2) -> (-n1, -n2), so its
-    maximum is max |M3|.
+    of :func:`_starts`.  M3 is odd under n1 -> -n1, so its maximum is
+    max |M3|.
     """
     return _search(pauli_tensor(state), M3_of, MERMIN_COLUMNS, restarts, seed).best_value
 
@@ -438,7 +508,7 @@ def lu_invariance_check(state, seed=0, trials=20, restarts=60):
 
     Returns (reference, values, max_deviation).
     """
-    if not (isinstance(trials, Integral) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, Integral) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
     reference = e_ghz(state, restarts=restarts, seed=seed)
     rng = np.random.default_rng(seed)

@@ -214,8 +214,8 @@ def check_local_dim(d):
 
 
 def check_seed(seed):
-    """Raise ValueError unless `seed` is a non-negative integer."""
-    if not (isinstance(seed, Integral) and seed >= 0):
+    """Raise ValueError unless `seed` is a non-negative integer; a bool is not one."""
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
         raise ValueError("seed must be a non-negative integer")
 
 

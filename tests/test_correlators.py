@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,23 @@ def test_correlators_reject_directions_that_are_not_finite_reals(rng, lead, entr
     (bad[0] if lead else bad)[0] = entry
     for n1, n2 in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match="directions must hold finite real numbers"):
+            correlators_from_tensor(tensor, n1, n2)
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize(
+    "entry, slots", [(1e200, (0, 1)), (1e103, (0,))], ids=["1e200", "1e103"]
+)
+def test_correlators_reject_finite_directions_whose_correlators_overflow(rng, lead, entry, slots):
+    # n1 fills three slots of e4 and n2 two of e1, so 1e103 overflows as n1 alone
+    tensor = pauli_tensor(random_mixed_state(rng))
+    good = random_directions(rng, lead)
+    bad = good.copy()
+    (bad[0] if lead else bad)[0] = entry
+    for slot in slots:
+        n1, n2 = (bad, good) if slot == 0 else (good, bad)
+        message = f"e1..e4 overflow at the directions n1, n2, with |components| up to {entry:.3g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             correlators_from_tensor(tensor, n1, n2)
 
 

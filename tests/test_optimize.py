@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,15 +36,18 @@ from ghzmeter.correlators import (
 )
 from ghzmeter.functional import I_of, M3_of
 from ghzmeter.optimize import (
+    CONVERGENCE_ATOL,
     FRAME_COLUMNS,
     GRID_CELLS,
     LADDER,
     MERMIN_COLUMNS,
     SAMPLES,
+    TWIN_RADIUS,
     _best_rows,
     _derivatives,
     _directions,
     _ladder_steps,
+    _retire_twins,
     _search,
     _starts,
     haar_rotations,
@@ -119,6 +124,19 @@ def test_abs_I_is_invariant_under_d2(rng):
     frames = [np.moveaxis((r @ d.as_matrix())[..., :2], -1, 0) for d in D2]
     values = [np.abs(I_of(correlators_from_tensor(tensor, *frame))) for frame in frames]
     assert np.max(np.abs(np.diff(values, axis=0))) < 1e-15
+
+
+@pytest.mark.parametrize("make_state", [lambda rng: haar_random_pure(2, rng), random_mixed_state])
+def test_abs_I_and_M3_are_unchanged_by_either_sign_flip_alone(rng, make_state):
+    # each e_i holds n1 an odd and n2 an even number of times, so the polish's twin rule
+    # may match directions up to the sign of each one
+    tensor = pauli_tensor(make_state(rng))
+    n1, n2 = np.moveaxis(haar_rotations(rng, (100,))[..., :2], -1, 0)
+    for functional in (I_of, M3_of):
+        value = np.abs(functional(correlators_from_tensor(tensor, n1, n2)))
+        for a, b in ((-n1, n2), (n1, -n2)):
+            flipped = np.abs(functional(correlators_from_tensor(tensor, a, b)))
+            assert np.max(np.abs(flipped - value)) <= 1e-15
 
 
 def test_rotated_tensor_moves_the_frame(rng):
@@ -291,7 +309,7 @@ def test_restarts_outside_samples_rejected(restarts):
         maximize_mermin(make_w(), restarts=restarts)
 
 
-@pytest.mark.parametrize("restarts", [2.5, "3", None])
+@pytest.mark.parametrize("restarts", [2.5, "3", None, True])
 def test_non_integer_restarts_rejected(restarts):
     with pytest.raises(ValueError, match="restarts"):
         maximize_I(make_w(), restarts=restarts)
@@ -301,8 +319,8 @@ def test_non_integer_restarts_rejected(restarts):
 
 @pytest.mark.parametrize(
     "seed",
-    [None, -1, 1.5, "7", np.random.default_rng(0)],
-    ids=["None", "negative", "float", "string", "generator"],
+    [None, -1, 1.5, "7", np.random.default_rng(0), True, False],
+    ids=["None", "negative", "float", "string", "generator", "True", "False"],
 )
 def test_seed_outside_non_negative_integers_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
@@ -314,6 +332,10 @@ def test_seed_outside_non_negative_integers_rejected(seed):
 def test_numpy_integer_seed_is_the_int_seed():
     a, b = maximize_I(make_w(), 5, np.int64(3)), maximize_I(make_w(), 5, 3)
     assert a.best_value == b.best_value and a.iterations_total == b.iterations_total
+    # the result holds Python ints, which json writes
+    c = maximize_I(make_w(), np.int64(5), np.uint8(3))
+    assert type(c.restarts) is int and type(c.seed) is int
+    assert json.dumps([c.restarts, c.seed]) == "[5, 3]"
     assert maximize_mermin(make_w(), 5, np.uint8(3)) == maximize_mermin(make_w(), 5, 3)
 
 
@@ -322,6 +344,7 @@ def test_numpy_integer_seed_is_the_int_seed():
     [
         (lambda: lu_invariance_check(make_ghz(2), trials=0, restarts=1), "trials"),
         (lambda: lu_invariance_check(make_ghz(2), trials=1.5, restarts=1), "trials"),
+        (lambda: lu_invariance_check(make_ghz(2), trials=True, restarts=1), "trials"),
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[], restarts=1), "p_grid"),
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[-0.01], restarts=1), "p_grid"),
         (lambda: convexity_probe(make_ghz(2), make_w(), p_grid=[1.5], restarts=1), "p_grid"),
@@ -333,6 +356,7 @@ def test_numpy_integer_seed_is_the_int_seed():
     ids=[
         "trials-0",
         "trials-1.5",
+        "trials-True",
         "p_grid-empty",
         "p_grid--0.01",
         "p_grid-1.5",
@@ -421,6 +445,68 @@ def test_monotone_in_restarts():
         maximize_I(make_w(), restarts=n, seed=5).best_value for n in (1, 5, 10, 20)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def _retire_twins_row_by_row(twin_of, active, n1, n2):
+    """The twin rule one row at a time: in index order, an active row is retired for the
+    first earlier kept row within TWIN_RADIUS in n1 and in n2, each up to sign."""
+    cos = np.cos(TWIN_RADIUS)
+    for j in active:
+        kept = np.flatnonzero(twin_of[:j] == np.arange(j))
+        near = (np.abs(n1[kept] @ n1[j]) >= cos) & (np.abs(n2[kept] @ n2[j]) >= cos)
+        if near.any():
+            twin_of[twin_of == j] = kept[np.argmax(near)]
+    return active[twin_of[active] == active]
+
+
+def test_blocked_twin_retirement_is_the_row_by_row_rule(rng):
+    # 700 rows make three blocks; rows near 8 centres, with random signs, have twins
+    # within and across blocks, and the inactive rows stay kept but retire others
+    k = 700
+    centres = haar_rotations(rng, (8,))[rng.integers(8, size=k)]
+    blocked, row_by_row = np.arange(k), np.arange(k)
+    active = np.sort(rng.choice(k, 600, replace=False))
+    for _ in range(2):
+        rotations = centres @ rotation_from_vector(0.15 * rng.standard_normal((k, 3)))
+        n1, n2 = rotations[..., 0] * rng.choice([-1, 1], (k, 1)), rotations[..., 1]
+        left = _retire_twins(blocked, active, n1, n2)
+        assert np.array_equal(left, _retire_twins_row_by_row(row_by_row, active, n1, n2))
+        assert np.array_equal(blocked, row_by_row)
+        assert 0 < len(left) < len(active)
+        active = left[rng.random(len(left)) < 0.9]
+
+
+@pytest.mark.parametrize("make_state, restarts", [(lambda: make_ghz(2), 60), (make_w, 300)])
+def test_converged_restarts_count_twins_with_the_row_they_retired_for(monkeypatch, make_state, restarts):
+    # W at 300 restarts compares two blocks of rows
+    blocked = maximize_I(make_state(), restarts, 0)
+    polish, polished = ghzmeter.optimize._polish, []
+
+    def recorded_polish(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(ghzmeter.optimize, "_retire_twins", _retire_twins_row_by_row)
+    monkeypatch.setattr(ghzmeter.optimize, "_polish", recorded_polish)
+    row_by_row = maximize_I(make_state(), restarts, 0)
+    _, values, twin_of, _ = polished[0]
+    assert np.any(twin_of != np.arange(restarts))
+    expected = np.sum(values.max() - values[twin_of] < CONVERGENCE_ATOL)
+    assert blocked.converged_restarts == row_by_row.converged_restarts == expected
+    assert blocked.best_value == row_by_row.best_value
+    assert blocked.iterations_total == row_by_row.iterations_total
+
+
+def test_search_memory_stays_bounded_at_every_start():
+    # twin rows are compared in blocks: an all-pairs comparison of the 4096 rows peaked near 0.5 GB
+    maximize_I(make_w(), SAMPLES, 0)
+    tracemalloc.start()
+    try:
+        maximize_I(make_w(), SAMPLES, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def test_argmax_consistency():
