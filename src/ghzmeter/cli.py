@@ -57,13 +57,13 @@ def parse_floats(flag, text, lengths):
         vals = [float(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if len(vals) not in np.atleast_1d(lengths):
-        raise ValueError(f"{flag} expects {lengths} numbers, got {len(vals)}")
+    if len(vals) not in lengths:
+        raise ValueError(f"{flag} expects {' or '.join(map(str, lengths))} numbers, got {len(vals)}")
     return vals
 
 
 def parse_direction(flag, text):
-    vals = np.asarray(parse_floats(flag, text, 3))
+    vals = np.asarray(parse_floats(flag, text, (3,)))
     scale = np.max(np.abs(vals))
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
         if not (0.0 < scale and np.linalg.norm(vals) < np.inf):

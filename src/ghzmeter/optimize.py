@@ -25,7 +25,7 @@ CONVERGENCE_ATOL = 1e-8
 LADDER = np.array([1.0 / 3.0, 2.0, 12.0])
 # angle (rad) within which two polish rows' n1 and n2, each up to sign, make them twins
 TWIN_RADIUS = 0.2
-# rows that _retire_twins compares at once, so that no array of it exceeds TWIN_BLOCK**2 entries
+# active rows that _retire_twins compares at once with the kept rows, which bounds its arrays
 TWIN_BLOCK = 256
 
 # (rotation, column) of n1 and of n2 in a stack of rotations: maximize_I takes
@@ -111,11 +111,11 @@ class OptimizationResult:
 
     `best_value` is |functional| evaluated once at (best_frame.n1,
     best_frame.n2), so it equals that evaluation bit for bit.  `restarts`
-    and `seed` are the given integers as Python ints.  The polish retires a
-    row that, after a pass, lies within TWIN_RADIUS of an earlier kept row
-    in n1 and in n2, each up to sign, since |I| and |M3| are unchanged by
-    n1 -> -n1 and by n2 -> -n2 alone.  `iterations_total` counts the
-    row-passes the polish ran, which such twins cut short.
+    and `seed` are the given integers as Python ints.  After each pass, the
+    polish retires a row for the first earlier kept row that lies within
+    TWIN_RADIUS of it in n1 and in n2, each up to sign, since |I| and |M3|
+    are unchanged by n1 -> -n1 and by n2 -> -n2 alone.  `iterations_total`
+    counts the row-passes the polish ran, which such twins cut short.
     `converged_restarts` counts the rows that ended within CONVERGENCE_ATOL
     of the best, a twin by the final value of the row it was retired for.
     `e_ghz` is meaningful for |I| only.
@@ -261,10 +261,11 @@ def _polish(tensor, functional, columns, rotations):
     together.  A row moves to its best trial if that gains, and damp becomes
     a third of that trial's damping; if no trial gains, damp becomes four
     times the largest.  A row retires once the largest gain its quadratic
-    model predicts is at most GAIN_ATOL, or once, after a pass, it is a twin
-    of an earlier kept row (:func:`_retire_twins`); a retired row keeps its
-    rotation and value.  A row's retirement depends only on earlier rows, so
-    every kept row takes the same path, up to rounding, at any row count.
+    model predicts is at most GAIN_ATOL, or once, after a pass, one sweep
+    in index order finds it a twin of an earlier kept row
+    (:func:`_retire_twins`); a retired row keeps its rotation and value.  A
+    row's retirement depends only on earlier rows, so every kept row takes
+    the same path, up to rounding, at any row count.
     Returns `rotations`, moved in place, their values, `twin_of`, the row
     each row was retired as a twin of (itself if kept), and the row-passes,
     the number of passes summed over the rows.
@@ -306,50 +307,31 @@ def _retire_twins(twin_of, active, n1, n2):
     least cos TWIN_RADIUS.  Every e_i holds n1 an odd and n2 an even number
     of times (SLOTS), so |I| and |M3| are unchanged by n1 -> -n1 and by
     n2 -> -n2 alone, and twins climb to one value.  The kept rows are those
-    with twin_of[i] == i, whether still active or not.  In index order, an
-    active row is retired when an earlier row that stays kept is its twin:
-    twin_of[j] becomes the first such row, and so does twin_of of the rows
-    retired for j before.  The kept rows are taken in blocks of TWIN_BLOCK, each
-    compared with the rows still kept in every earlier block and then with
-    itself, so no array exceeds TWIN_BLOCK**2 entries.
+    with twin_of[i] == i, whether still active or not.  One sweep in index
+    order retires an active row for its first earlier twin still kept:
+    twin_of[j] becomes that row, and so does twin_of of the rows retired for
+    j before.  The active rows are taken in blocks of TWIN_BLOCK, each
+    compared with the rows still kept up to its end, so no array exceeds
+    TWIN_BLOCK times the kept rows.
     """
-    if not active.size:
-        return active
     cos = np.cos(TWIN_RADIUS)
-    # rows after the last active row can retire none
-    last = active[-1] + 1
-    movable = np.zeros(last, bool)
-    movable[active] = True
-    kept = np.flatnonzero(twin_of[:last] == np.arange(last))
-    directions = np.stack((n1, n2))
-
-    def twins(a, b):
-        near = np.abs(directions[:, a] @ directions[:, b].swapaxes(1, 2)) >= cos
-        return near[0] & near[1]
-
-    for start in range(0, len(kept), TWIN_BLOCK):
-        block = kept[start : start + TWIN_BLOCK]
-        for earlier in range(0, start, TWIN_BLOCK):
-            ref = kept[earlier : earlier + TWIN_BLOCK]
-            ref, rows = ref[twin_of[ref] == ref], block[movable[block]]
-            if not (ref.size and rows.size):
-                continue
-            hit = twins(ref, rows)
-            found = hit.any(axis=0)
-            twin_of[rows[found]] = ref[hit.argmax(axis=0)[found]]
-            movable[rows[found]] = False
-        block = block[twin_of[block] == block]
-        # hit[i, j]: row i is an earlier twin of row j.  A row with no earlier
-        # twin stays; an open row is decided once none of its earlier twins is open
-        hit = twins(block, block) & (block[:, None] < block)
-        stays = ~(movable[block] & hit.any(axis=0))
-        open_ = ~stays
-        while open_.any():
-            by_kept = stays @ hit
-            stays |= open_ & ~by_kept & ~(open_ @ hit)
-            open_ &= ~(by_kept | stays)
-        if not stays.all():
-            twin_of[block[~stays]] = block[(hit & stays[:, None]).argmax(axis=0)[~stays]]
+    for start in range(0, len(active), TWIN_BLOCK):
+        rows = active[start : start + TWIN_BLOCK]
+        ref = np.flatnonzero(twin_of[: rows[-1] + 1] == np.arange(rows[-1] + 1))
+        # hit[j, i]: ref[i] is a twin of rows[j]; a unit row is its own twin, so the
+        # first twin of a row is never after it
+        hit = np.ones((len(rows), len(ref)), bool)
+        for n in (n1, n2):
+            dots = n[rows] @ n[ref].T
+            hit &= np.abs(dots, out=dots) >= cos
+        first = ref[hit.argmax(axis=1)]
+        contested = np.flatnonzero(first < rows)
+        for j, twin, row in zip(contested.tolist(), first[contested].tolist(), rows[contested].tolist()):
+            if twin_of[twin] != twin:
+                # that twin retired earlier in this block: the first twin still kept, at worst itself
+                twins = ref[hit[j]]
+                twin = twins[twin_of[twins] == twins][0]
+            twin_of[row] = twin
     twin_of[:] = twin_of[twin_of]
     return active[twin_of[active] == active]
 

@@ -122,6 +122,22 @@ def test_eval_acin_nan_rejected(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["eval", "--acin", "1,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"],
+            "--acin expects 5 or 6 numbers, got 4",
+        ),
+        (["eval", "--state", "ghz", "--n1", "1,0", "--n2", "0,1,0"], "--n1 expects 3 numbers, got 2"),
+    ],
+)
+def test_wrong_number_count_names_the_counts(capsys, argv, line):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["optimize", "--state", "w", "--restarts", "0", "--seed", "0"],
