@@ -11,6 +11,9 @@ from .linalg import IDENTITY_2, PAULIS, kron, max_norm, spin_observable
 from .states import StateError
 
 IMAG_ATOL = 1e-10
+# with every |component| <= MAX_COMPONENT a monomial is at most 1e300, and each e_i of a Pauli
+# tensor (|T| <= 1), 28 monomials with coefficients of at most 6, at most 1.7e302: no overflow
+MAX_COMPONENT = 1e100
 
 # Row 9i + 3j + k is (s_i x s_j x s_k)^T flattened, so one product with a
 # flattened density matrix gives all 27 traces Tr((s_i x s_j x s_k) rho).
@@ -87,10 +90,13 @@ def tensor_at_columns(tensor, c):
 
 
 def _finite_real(components):
-    """The stacked components of two directions, or a ValueError unless all are finite reals."""
-    if not (components.dtype.kind in "biuf" and np.isfinite(components).all()):
-        raise ValueError("directions must hold finite real numbers")
-    return components
+    """The stacked components as floats; a ValueError unless all are reals within MAX_COMPONENT."""
+    if components.dtype.kind in "biuf":
+        components = components.astype(float, copy=False)
+        # a NaN makes the max NaN, which fails the bound; an empty stack passes
+        if np.abs(components).max(initial=0.0) <= MAX_COMPONENT:
+            return components
+    raise ValueError(f"directions must hold finite real numbers, |components| <= {MAX_COMPONENT:g}")
 
 
 def monomials(n1, n2):
@@ -99,7 +105,8 @@ def monomials(n1, n2):
     Two 3-vectors take one gather of their stacked components.  Arrays are
     broadcast and stacked as the contiguous rows of a (6, N) array, and the
     monomials are filled row by row, so that no temporary exceeds a row.
-    A stack with an entry that is not a finite real raises (:func:`_finite_real`).
+    Both take float components: a stack with an entry that is not a real of size at most
+    MAX_COMPONENT raises (:func:`_finite_real`), so no monomial passes 1e300.
     """
     shapes = np.shape(n1), np.shape(n2)
     if shapes[0][-1:] != (3,) or shapes[1][-1:] != (3,):
@@ -110,7 +117,7 @@ def monomials(n1, n2):
     # float, unless a complex or object entry must reach the check uncast
     v = np.empty((6, n1[..., 0].size), np.result_type(n1, n2, float))
     v[:3], v[3:] = n1.reshape(-1, 3).T, n2.reshape(-1, 3).T
-    _finite_real(v)
+    v = _finite_real(v)
     table = np.empty((len(MONOMIALS), v.shape[1]))
     for row, a, b, c in zip(table, *FACTORS):
         np.multiply(v[a], v[b], out=row)
@@ -134,19 +141,10 @@ def correlators_from_tensor(tensor, n1, n2):
 
     Two 3-vectors give numpy float scalars.  Directions of shape (..., 3)
     broadcast and give e1..e4 of their leading shape, one per pair of rows.
-    Finite directions whose e1..e4 overflow, such as a component of 1e103,
-    whose cube passes the float range, raise ValueError, and no warning.
-    From finite directions, e1..e4 can only fail to be finite through an
-    overflow, and an overflow always leaves some e_i infinite or NaN.
+    A component that is not a real of size at most MAX_COMPONENT raises
+    ValueError; below that bound e1..e4 are always finite.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return correlators_from_monomials(tensor, monomials(n1, n2))
-    except FloatingPointError:
-        largest = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
-        raise ValueError(
-            f"e1..e4 overflow at the directions n1, n2, with |components| up to {largest:.3g}"
-        ) from None
+    return correlators_from_monomials(tensor, monomials(n1, n2))
 
 
 @dataclass(frozen=True)

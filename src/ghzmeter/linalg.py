@@ -6,7 +6,7 @@ Every matrix is a plain dense complex numpy array and every function is pure.
 import cmath
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -21,7 +21,7 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 def kron(*matrices):
     """Kronecker product of one or more matrices, left to right."""
-    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    matrices = [as_complex(m, f"kron's matrix {i}") for i, m in enumerate(matrices, 1)]
     if not (matrices and all(m.ndim == 2 for m in matrices)):
         raise ValueError("kron takes one or more matrices, each a 2-D array")
     out = matrices[0]
@@ -57,6 +57,22 @@ def as_real(x, name, shape=None):
         pass
     expected = {None: "a real number, or an array of them,", (): "a real number"}.get(shape)
     raise ValueError(f"{name} must be {expected or f'a real {shape[0]}-vector'} in the float range")
+
+
+def as_complex(x, name):
+    """x as a complex array (x itself if it is one), or a ValueError naming `name`.
+
+    Every entry must be a number: a cast to complex would parse a string, raise a TypeError
+    for an entry that is no number, or overflow.
+    """
+    try:
+        values = np.asarray(x)
+        # numpy holds an integer past int64, a dict or any other object as an object
+        if values.dtype.kind in "biufc" or all(isinstance(v, Number) for v in values.flat):
+            return values.astype(complex, copy=False)
+    except (ValueError, OverflowError):  # a ragged nesting, or an integer past the float range
+        pass
+    raise ValueError(f"{name} must hold complex numbers in the float range")
 
 
 def unit_vector(n):

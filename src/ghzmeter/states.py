@@ -6,7 +6,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, as_real, kron, max_norm
+from .linalg import ATOL, as_complex, as_real, kron, max_norm
 
 EIGVAL_FLOOR = -1e-10
 # a state holds local_dim**3 amplitudes, and no array is longer than 2**63 - 1
@@ -21,6 +21,14 @@ STATE_FILE_FIELDS = {"pure": ("amplitudes", "vector"), "mixed": ("density", "den
 
 class StateError(ValueError):
     """Raised when a state violates one of its invariants."""
+
+
+def _as_complex(x, name):
+    """x as a complex array by :func:`ghzmeter.linalg.as_complex`, its ValueError a StateError."""
+    try:
+        return as_complex(x, name)
+    except ValueError as err:
+        raise StateError(str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class QuantumState:
         if (self.vector is None) == (self.density is None):
             raise StateError("exactly one of vector / density must be given")
         if self.vector is not None:
-            v = np.asarray(self.vector, dtype=complex).reshape(-1)
+            v = _as_complex(self.vector, "vector").reshape(-1)
             if v.shape != (dim,):
                 raise StateError(
                     f"expected {dim} amplitudes for local_dim {d}, got {v.shape[0]}"
@@ -54,7 +62,7 @@ class QuantumState:
             v.setflags(write=False)
             object.__setattr__(self, "vector", v)
         else:
-            rho = np.asarray(self.density, dtype=complex)
+            rho = _as_complex(self.density, "density")
             if rho.shape != (dim, dim):
                 raise StateError(
                     f"expected a {dim}x{dim} density matrix, got shape {rho.shape}"
@@ -172,12 +180,8 @@ def ghz_basis():
 
 def make_product(a, b, c):
     """Product state from three single-qubit amplitude pairs."""
-    v = kron(
-        np.asarray(a, complex).reshape(2, 1),
-        np.asarray(b, complex).reshape(2, 1),
-        np.asarray(c, complex).reshape(2, 1),
-    ).reshape(-1)
-    return QuantumState(2, vector=v)
+    v = kron(*(_as_complex(x, name).reshape(2, 1) for name, x in zip("abc", (a, b, c))))
+    return QuantumState(2, vector=v.reshape(-1))
 
 
 def make_biseparable(cut, single, pair):
@@ -189,8 +193,8 @@ def make_biseparable(cut, single, pair):
     """
     if not (isinstance(cut, str) and cut in BISEPARABLE_CUTS):
         raise StateError(f"cut must be one of {tuple(BISEPARABLE_CUTS)}, got {cut!r}")
-    s = np.asarray(single, dtype=complex).reshape(-1)
-    p = np.asarray(pair, dtype=complex).reshape(-1)
+    s = _as_complex(single, "single").reshape(-1)
+    p = _as_complex(pair, "pair").reshape(-1)
     if s.shape != (2,) or p.shape != (4,):
         raise StateError(
             f"expected 2 and 4 amplitudes, got {s.shape[0]} and {p.shape[0]}"

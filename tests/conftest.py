@@ -36,6 +36,18 @@ MALFORMED_STATE_FILES = {
 }
 
 
+# Entries that are no complex number: a cast to complex raises a TypeError for the dict
+# and the object, an OverflowError for 10**400 and a ValueError for the ragged pair, and
+# parses the string
+NOT_NUMBERS = [
+    pytest.param({}, id="dict"),
+    pytest.param(object(), id="object"),
+    pytest.param(10**400, id="huge"),
+    pytest.param("1", id="string"),
+    pytest.param([1, 2], id="ragged"),
+]
+
+
 def random_direction(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)

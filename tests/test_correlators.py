@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from ghzmeter import (
     pauli_tensor,
     verify_identities,
 )
-from ghzmeter.correlators import tensor_at_columns
+from ghzmeter.correlators import MAX_COMPONENT, tensor_at_columns
 from ghzmeter.linalg import SIGMA_X, max_norm
 from ghzmeter.optimize import FRAME_COLUMNS, _starts, haar_rotations, rotation_from_vector
 from ghzmeter.states import StateError, haar_random_pure
@@ -158,10 +156,13 @@ def test_correlators_reject_directions_without_three_components(rng, shape):
 
 @pytest.mark.parametrize("lead", [(), (4,)])
 @pytest.mark.parametrize(
-    "entry", [1j, np.nan, np.inf, -np.inf, 10**400], ids=["complex", "nan", "inf", "-inf", "huge"]
+    "entry",
+    [1j, np.nan, np.inf, -np.inf, 10**400, 1e200, 1e103, np.nextafter(MAX_COMPONENT, np.inf)],
+    ids=["complex", "nan", "inf", "-inf", "huge", "1e200", "1e103", "past-bound"],
 )
 def test_correlators_reject_directions_that_are_not_finite_reals(rng, lead, entry):
-    # a complex (k, 3) array would lose its imaginary part, and 10**400 overflow a float
+    # a complex (k, 3) array would lose its imaginary part, and 10**400 overflow a float;
+    # 1e103 in n1 overflows e4, and in n2 alone it is past MAX_COMPONENT all the same
     tensor = pauli_tensor(random_mixed_state(rng))
     good = random_directions(rng, lead)
     bad = good.tolist()
@@ -172,20 +173,13 @@ def test_correlators_reject_directions_that_are_not_finite_reals(rng, lead, entr
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
-@pytest.mark.parametrize(
-    "entry, slots", [(1e200, (0, 1)), (1e103, (0,))], ids=["1e200", "1e103"]
-)
-def test_correlators_reject_finite_directions_whose_correlators_overflow(rng, lead, entry, slots):
-    # n1 fills three slots of e4 and n2 two of e1, so 1e103 overflows as n1 alone
-    tensor = pauli_tensor(random_mixed_state(rng))
-    good = random_directions(rng, lead)
-    bad = good.copy()
-    (bad[0] if lead else bad)[0] = entry
-    for slot in slots:
-        n1, n2 = (bad, good) if slot == 0 else (good, bad)
-        message = f"e1..e4 overflow at the directions n1, n2, with |components| up to {entry:.3g}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            correlators_from_tensor(tensor, n1, n2)
+def test_correlators_take_integer_directions_as_floats(lead):
+    # an int64 cube would wrap: 3e6**3 = 2.7e19 passes 2**63
+    tensor = pauli_tensor(make_ghz(2))
+    n1, n2 = np.broadcast_to([3_000_000, 0, 0], lead + (3,)), np.broadcast_to([0, 1, 0], lead + (3,))
+    as_ints = correlators_from_tensor(tensor, n1, n2)
+    as_floats = correlators_from_tensor(tensor, n1.astype(float), n2.astype(float))
+    assert np.asarray(as_ints).tobytes() == np.asarray(as_floats).tobytes()
 
 
 def test_correlators_score_batch_matches_operators(rng):

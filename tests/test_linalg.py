@@ -17,7 +17,7 @@ from ghzmeter.linalg import (
     unit_vector,
 )
 
-from conftest import is_hermitian, is_unitary, random_direction, triple_observable
+from conftest import NOT_NUMBERS, is_hermitian, is_unitary, random_direction, triple_observable
 
 
 def test_kron_identity():
@@ -40,6 +40,12 @@ def test_kron_zz_diagonal():
 def test_kron_rejects_what_is_not_matrices(matrices):
     with pytest.raises(ValueError, match="2-D array"):
         kron(*matrices)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_kron_names_the_matrix_that_holds_no_numbers(bad):
+    with pytest.raises(ValueError, match="kron's matrix 2 must hold complex numbers in the float range"):
+        kron(IDENTITY_2, [[1, bad], [0, 1]])
 
 
 def test_spin_observable_axes():

@@ -4,11 +4,13 @@ import contextlib
 import dataclasses
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ghzmeter import (
     AcinParams,
@@ -17,6 +19,7 @@ from ghzmeter import (
     QuditGenPair,
     StateError,
     closed_form_from_mu,
+    correlators_from_tensor,
     haar_random_pure,
     lu_invariance_check,
     make_acin,
@@ -25,13 +28,17 @@ from ghzmeter import (
     make_w,
     maximally_mixed,
     maximize_I,
+    pauli_tensor,
     schmidt_subfamily_I,
     tau3_relation,
     w_reduced_I,
     weyl_operator,
 )
 from ghzmeter.cli import NAMED_STATES, main
+from ghzmeter.correlators import MAX_COMPONENT
 from ghzmeter.states import check_seed
+
+from conftest import random_mixed_state
 
 # every float, nan and +-inf included
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -52,6 +59,28 @@ def test_ortho_frame_is_valid_or_raises(n1, n2):
     for n in (frame.n1, frame.n2):
         assert n.dtype == float and np.all(np.isfinite(n)) and abs(np.linalg.norm(n) - 1) < 1e-12
     assert isinstance(frame.c, float) and np.isfinite(frame.c)
+
+
+# every float a direction may hold, the bound itself included
+COMPONENTS = st.floats(-MAX_COMPONENT, MAX_COMPONENT) | st.sampled_from([-MAX_COMPONENT, MAX_COMPONENT])
+
+
+@st.composite
+def direction_pairs(draw):
+    shape = draw(st.sampled_from([(3,), (5, 3)]))
+    return tuple(draw(arrays(float, shape, elements=COMPONENTS)) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pair=direction_pairs())
+@example(seed=0, pair=(np.full(3, MAX_COMPONENT), np.full(3, -MAX_COMPONENT)))
+@example(seed=1, pair=(np.full((5, 3), -MAX_COMPONENT), np.full((5, 3), MAX_COMPONENT)))
+def test_correlators_within_the_bound_are_finite(seed, pair):
+    tensor = pauli_tensor(random_mixed_state(np.random.default_rng(seed)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quad = correlators_from_tensor(tensor, *pair)
+    assert np.shape(quad) == (4,) + pair[0].shape[:-1] and np.all(np.isfinite(quad))
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,7 +26,13 @@ from ghzmeter import (
 from ghzmeter.linalg import SIGMA_X, SIGMA_Z, weyl_operator
 from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 
-from conftest import MALFORMED_STATE_FILES, operator_quad, real_expectation, triple_observable
+from conftest import (
+    MALFORMED_STATE_FILES,
+    NOT_NUMBERS,
+    operator_quad,
+    real_expectation,
+    triple_observable,
+)
 
 
 def test_ghz_amplitudes():
@@ -242,6 +248,21 @@ def test_state_rejects_non_finite(bad):
         rho[entry] = rho[entry[::-1]] = bad
         with pytest.raises(StateError):
             QuantumState(2, density=rho)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_builders_reject_entries_that_are_not_numbers(bad):
+    vector, density = [8**-0.5] * 8, (np.eye(8) / 8).tolist()
+    vector[3] = density[2][5] = bad
+    for build, name in (
+        (lambda: QuantumState(2, vector=vector), "vector"),
+        (lambda: QuantumState(2, density=density), "density"),
+        (lambda: make_product([1, 0], [0, bad], [1, 0]), "b"),
+        (lambda: make_biseparable("A|BC", [bad, 0], [1, 0, 0, 0]), "single"),
+        (lambda: make_biseparable("A|BC", [1, 0], [1, 0, 0, bad]), "pair"),
+    ):
+        with pytest.raises(StateError, match=f"^{name} must hold complex numbers in the float range"):
+            build()
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
