@@ -23,10 +23,10 @@ class StateError(ValueError):
     """Raised when a state violates one of its invariants."""
 
 
-def _as_complex(x, name):
-    """x as a complex array by :func:`ghzmeter.linalg.as_complex`, its ValueError a StateError."""
+def _as_complex(x, name, shape):
+    """x by :func:`ghzmeter.linalg.as_complex` in `shape`, its ValueError a StateError."""
     try:
-        return as_complex(x, name)
+        return as_complex(x, name, shape)
     except ValueError as err:
         raise StateError(str(err)) from None
 
@@ -36,7 +36,9 @@ class QuantumState:
     """Pure or mixed state of three parties, each of local dimension ``local_dim``.
 
     Basis ordering is big-endian with party A first: basis index of |ijk> is
-    i*d*d + j*d + k.
+    i*d*d + j*d + k.  ``vector`` is a 1-D array of d**3 amplitudes and ``density`` a
+    d**3 x d**3 matrix.  The state stores its own read-only complex copy of either, so
+    the caller's array stays writable, and writing to it cannot move the state.
     """
 
     local_dim: int
@@ -50,23 +52,14 @@ class QuantumState:
         if (self.vector is None) == (self.density is None):
             raise StateError("exactly one of vector / density must be given")
         if self.vector is not None:
-            v = _as_complex(self.vector, "vector").reshape(-1)
-            if v.shape != (dim,):
-                raise StateError(
-                    f"expected {dim} amplitudes for local_dim {d}, got {v.shape[0]}"
-                )
+            v = _as_complex(self.vector, "vector", (dim,))
             with np.errstate(over="ignore"):  # a norm past the float range reads inf
                 norm = np.linalg.norm(v)
             if not abs(norm - 1.0) < ATOL:
                 raise StateError(f"pure state not normalized: ||psi|| = {norm!r}")
-            v.setflags(write=False)
             object.__setattr__(self, "vector", v)
         else:
-            rho = _as_complex(self.density, "density")
-            if rho.shape != (dim, dim):
-                raise StateError(
-                    f"expected a {dim}x{dim} density matrix, got shape {rho.shape}"
-                )
+            rho = _as_complex(self.density, "density", (dim, dim))
             if not np.all(np.isfinite(rho)):
                 raise StateError("density matrix has non-finite entries")
             if not max_norm(rho - rho.conj().T) < ATOL:
@@ -76,7 +69,6 @@ class QuantumState:
                 raise StateError(f"density matrix trace must be 1, got {tr!r}")
             if np.min(np.linalg.eigvalsh(rho)) < EIGVAL_FLOOR:
                 raise StateError("density matrix has a negative eigenvalue")
-            rho.setflags(write=False)
             object.__setattr__(self, "density", rho)
 
     @property
@@ -180,8 +172,8 @@ def ghz_basis():
 
 def make_product(a, b, c):
     """Product state from three single-qubit amplitude pairs."""
-    v = kron(*(_as_complex(x, name).reshape(2, 1) for name, x in zip("abc", (a, b, c))))
-    return QuantumState(2, vector=v.reshape(-1))
+    a, b, c = (_as_complex(x, name, (2,)) for name, x in zip("abc", (a, b, c)))
+    return QuantumState(2, vector=(a[:, None, None] * b[:, None] * c).reshape(-1))
 
 
 def make_biseparable(cut, single, pair):
@@ -193,12 +185,7 @@ def make_biseparable(cut, single, pair):
     """
     if not (isinstance(cut, str) and cut in BISEPARABLE_CUTS):
         raise StateError(f"cut must be one of {tuple(BISEPARABLE_CUTS)}, got {cut!r}")
-    s = _as_complex(single, "single").reshape(-1)
-    p = _as_complex(pair, "pair").reshape(-1)
-    if s.shape != (2,) or p.shape != (4,):
-        raise StateError(
-            f"expected 2 and 4 amplitudes, got {s.shape[0]} and {p.shape[0]}"
-        )
+    s, p = _as_complex(single, "single", (2,)), _as_complex(pair, "pair", (4,))
     v = np.einsum(BISEPARABLE_CUTS[cut], s, p.reshape(2, 2))
     return QuantumState(2, vector=v.reshape(-1))
 
@@ -267,7 +254,8 @@ def save_state(state, path):
 def load_state(path):
     """Read a state file written by :func:`save_state`, re-validating invariants.
 
-    Every malformed document raises :class:`StateError`.
+    The [re, im] pairs are read as real numbers by :func:`ghzmeter.linalg.as_real`,
+    then viewed as complex numbers.  Every malformed document raises :class:`StateError`.
     """
     with open(path) as fh:
         try:
@@ -288,10 +276,10 @@ def load_state(path):
     pairs = doc.get(key)
     if pairs is None:
         raise StateError(f"{kind} state file must carry a {key!r} array")
-    # amplitudes are one row of pairs; QuantumState flattens the vector
-    rows = pairs if field == "density" else [pairs]
     try:
-        data = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError, OverflowError) as exc:
+        # a float pair is a complex number in memory; the view needs an even last axis and
+        # the squeeze one complex per row, so only [re, im] pairs pass
+        data = np.asarray(as_real(pairs, key)).view(complex).squeeze(-1)
+    except ValueError as exc:
         raise StateError(f"{key} must hold [re, im] number pairs: {exc}") from exc
     return QuantumState(int(d), **{field: data})

@@ -20,6 +20,7 @@ MALFORMED_STATE_FILES = {
     "amplitudes-number": b'{"local_dim": 2, "kind": "pure", "amplitudes": 5}',
     "amplitudes-string-pair": b'{"local_dim": 2, "kind": "pure", "amplitudes": [["a", 0]]}',
     "amplitudes-triple": b'{"local_dim": 2, "kind": "pure", "amplitudes": [[1, 0, 0]]}',
+    "amplitudes-quad": b'{"local_dim": 2, "kind": "pure", "amplitudes": [[1, 0, 0, 0]' + b", [0, 0, 0, 0]" * 7 + b"]}",
     "amplitudes-huge-int": b'{"local_dim": 2, "kind": "pure", "amplitudes": [[1' + b"0" * 400 + b", 0]]}",
     "density-flat": b'{"local_dim": 2, "kind": "mixed", "density": [1, 2]}',
     "density-ragged": b'{"local_dim": 2, "kind": "mixed", "density": [[[1, 0]], [[1, 0], [0, 0]]]}',
@@ -45,6 +46,18 @@ NOT_NUMBERS = [
     pytest.param(10**400, id="huge"),
     pytest.param("1", id="string"),
     pytest.param([1, 2], id="ragged"),
+]
+
+
+# Inputs in a shape their builder does not take, each of which it rejects with a StateError
+# naming the argument: a vector goes to QuantumState and a pure state file, a density to
+# QuantumState and a mixed state file, a pair to make_product and make_biseparable
+WRONG_SHAPES = [
+    pytest.param("vector", np.eye(8)[0].reshape(2, 2, 2), id="vector-2x2x2"),
+    pytest.param("vector", np.eye(8)[0].reshape(8, 1), id="vector-8x1"),
+    pytest.param("pair", np.array([[1.0], [0.0]]), id="pair-2x1"),
+    pytest.param("pair", np.array([1.0, 0.0, 0.0]), id="pair-3"),
+    pytest.param("density", np.eye(8).reshape(64) / 8, id="density-flat"),
 ]
 
 

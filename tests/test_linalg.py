@@ -11,6 +11,7 @@ from ghzmeter.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    as_complex,
     as_real,
     max_norm,
     symplectic_form,
@@ -148,6 +149,18 @@ def test_as_real_returns_floats_and_copies():
     assert fixed.dtype == free.dtype == float and not fixed.flags.writeable
     free[0] = 0.0  # a copy with shape=None too, so the caller's array is untouched
     assert a[0] == 1 and fixed[0] == 1.0
+
+
+def test_as_complex_returns_complex_copies():
+    z = np.zeros(2, dtype=complex)
+    fixed, free = as_complex(z, "z", (2,)), as_complex(z, "z")
+    assert not (np.shares_memory(fixed, z) or np.shares_memory(free, z))
+    assert z.flags.writeable and free.flags.writeable and not fixed.flags.writeable
+    kron(z.reshape(1, 2))[0, 0] = 5.0  # so the product of one matrix is a copy too
+    assert z[0] == 0.0
+    message = r"^z must hold complex numbers in the float range, 2 of them in shape \(2,\), got shape"
+    with pytest.raises(ValueError, match=message + r" \(2, 1\)$"):
+        as_complex(z.reshape(2, 1), "z", (2,))
 
 
 def test_unit_vector_validation():

@@ -106,6 +106,46 @@ def test_quantum_state_is_valid_or_raises(local_dim, entries, mixed):
     assert np.all(np.isfinite(rho)) and abs(np.trace(rho).real - 1) < 1e-9
 
 
+AMPLITUDES = {
+    int: st.integers(-1, 1),
+    float: st.floats(-2, 2),
+    complex: st.complex_numbers(max_magnitude=2),
+}
+
+
+@st.composite
+def state_inputs(draw):
+    """A vector or a density on three qubits, as a list or as an int, float or complex array.
+
+    A float or complex vector may be scaled to unit norm, and a density is the projector on a
+    vector, so valid states come up as well as rejected ones.
+    """
+    dtype = draw(st.sampled_from(list(AMPLITUDES)))
+    v = draw(arrays(dtype, 8, elements=AMPLITUDES[dtype]))
+    norm = np.linalg.norm(v)
+    if dtype is not int and norm > 0 and draw(st.booleans()):
+        v = v / norm
+    field = draw(st.sampled_from(["vector", "density"]))
+    data = v if field == "vector" else np.outer(v, v.conj())
+    return field, data.tolist() if draw(st.booleans()) else data
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=state_inputs())
+@example(case=("vector", np.eye(8, dtype=int)[3]))
+@example(case=("density", np.diag(np.eye(8, dtype=int)[5]).tolist()))
+def test_state_holds_a_read_only_copy_of_its_input(case):
+    field, data = case
+    try:
+        state = QuantumState(2, **{field: data})
+    except StateError:
+        return
+    stored = getattr(state, field)
+    assert not stored.flags.writeable and not np.shares_memory(stored, data)
+    assert np.array_equal(stored, np.asarray(data, dtype=complex))
+    assert not isinstance(data, np.ndarray) or data.flags.writeable
+
+
 # d <= 6, so no example allocates more than 6**3 amplitudes or a 216 x 216 matrix
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(max_value=6) | FLOATS)

@@ -29,6 +29,7 @@ from ghzmeter.states import apply_local_unitaries, haar_random_unitary
 from conftest import (
     MALFORMED_STATE_FILES,
     NOT_NUMBERS,
+    WRONG_SHAPES,
     operator_quad,
     real_expectation,
     triple_observable,
@@ -265,6 +266,37 @@ def test_builders_reject_entries_that_are_not_numbers(bad):
             build()
 
 
+@pytest.mark.parametrize("field, data", WRONG_SHAPES)
+def test_builders_reject_wrong_shapes(tmp_path, field, data):
+    if field == "pair":
+        builds = [
+            ("a", lambda: make_product(data, [1, 0], [1, 0])),
+            ("single", lambda: make_biseparable("A|BC", data, [1, 0, 0, 0])),
+        ]
+    else:
+        kind, key = ("pure", "amplitudes") if field == "vector" else ("mixed", "density")
+        pairs = np.stack([data.real, data.imag], -1).tolist()
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"local_dim": 2, "kind": kind, key: pairs}))
+        builds = [(field, lambda: QuantumState(2, **{field: data})), (field, lambda: load_state(path))]
+    for name, build in builds:
+        message = rf"^{name} must hold complex numbers in the float range, \d+ of them in shape .*, got shape"
+        with pytest.raises(StateError, match=message):
+            build()
+
+
+def test_state_holds_its_own_read_only_copy():
+    v = np.zeros(8, dtype=complex)
+    v[0] = 1.0
+    pure = QuantumState(2, vector=v)
+    v[0], v[7] = 0.0, 1.0  # the caller writes |111> into its array
+    assert pure.vector[0] == 1.0 and pure.vector[7] == 0.0
+    rho = np.eye(8, dtype=complex) / 8
+    mixed = QuantumState(2, density=rho)
+    assert rho.flags.writeable and not np.shares_memory(mixed.density, rho)
+    assert not (pure.vector.flags.writeable or mixed.density.flags.writeable)
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_acin_rejects_non_finite(bad):
     for args in ((bad, 0, 0, 0, 0), (1, bad, 0, 0, 0), (0, 0, 0, 0, bad)):
@@ -306,7 +338,7 @@ def test_load_rejects_wrong_amplitude_count(tmp_path):
     path.write_text(
         '{"local_dim": 2, "kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}'
     )
-    with pytest.raises(StateError, match="8"):
+    with pytest.raises(StateError, match=r"8 of them in shape \(8,\), got shape \(2,\)$"):
         load_state(path)
 
 
