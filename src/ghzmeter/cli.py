@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -41,9 +42,8 @@ def resolve_state(args):
         return NAMED_STATE_MAKERS[args.state]()
     if args.acin is not None:
         vals = parse_floats("--acin", args.acin, (5, 6))
-        phi = vals[5] if len(vals) == 6 else 0.0
         try:
-            return states.make_acin(states.AcinParams(*vals[:5], phi=phi))
+            return states.make_acin(states.AcinParams(*vals))
         except StateError as exc:
             raise ValueError(f"--acin: {exc}")
     try:
@@ -63,15 +63,14 @@ def parse_floats(flag, text, lengths):
 
 
 def parse_direction(flag, text):
-    vals = np.asarray(parse_floats(flag, text, (3,)))
-    scale = np.max(np.abs(vals))
-    with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        if not (0.0 < scale and np.linalg.norm(vals) < np.inf):
-            raise ValueError(f"{flag} must be a 3-vector of nonzero finite norm, got {text!r}")
-    # divided first by the power of two at max|v|: exact, so every direction
-    # whose squares stay normal keeps its rounding, and tiny ones cannot underflow
-    unit = np.ldexp(vals, -np.frexp(scale)[1])
-    return unit / np.linalg.norm(unit)
+    vals = parse_floats(flag, text, (3,))
+    # hypot scales, as unit_vector's check does, so no finite length overflows or reads 0
+    norm = math.hypot(*vals)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{flag} must be a 3-vector of nonzero finite norm, got {text!r}")
+    unit = [v / norm for v in vals]
+    # a subnormal length is rounded to a few bits, so the quotient's length is taken again
+    return np.array(unit) / math.hypot(*unit)
 
 
 def emit(args, rows, line, head="", **fields):
@@ -141,11 +140,9 @@ def cmd_scan_mu(args):
     frame = OrthoFrame([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     for mu in np.linspace(0.0, 0.5, args.steps):
         closed = functional.closed_form_from_mu(mu)
-        # canonical state with lambda0*lambda4 = mu and the weight balanced on |000>,|111>
-        lam0 = np.sqrt(0.5 * (1.0 + np.sqrt(1.0 - 4.0 * mu**2)))
-        lam4 = mu / lam0 if lam0 > 0 else 0.0
-        rest = np.sqrt(max(0.0, 1.0 - lam0**2 - lam4**2))
-        params = states.AcinParams(lam0, rest, 0.0, 0.0, lam4)
+        # cos(b)|000> + sin(b)|111>, the state of schmidt_subfamily_I, has mu = sin(2b)/2
+        beta = 0.5 * math.asin(2.0 * mu)
+        params = states.AcinParams(math.cos(beta), 0.0, 0.0, 0.0, math.sin(beta))
         direct = functional.eval_I(states.make_acin(params), frame)
         rows.append(dict(mu=float(mu), closed_form=closed, direct=direct))
     emit(args, rows, "{mu:10.6f} {closed_form:14.9f} {direct:14.9f}\n",

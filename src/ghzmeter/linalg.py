@@ -22,8 +22,8 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 def kron(*matrices):
     """Kronecker product of one or more matrices, left to right."""
     matrices = [as_complex(m, f"kron's matrix {i}") for i, m in enumerate(matrices, 1)]
-    if not (matrices and all(m.ndim == 2 for m in matrices)):
-        raise ValueError("kron takes one or more matrices, each a 2-D array")
+    if not (matrices and all(m.ndim == 2 and np.isfinite(m).all() for m in matrices)):
+        raise ValueError("kron takes one or more matrices, each a 2-D array of finite entries")
     out = matrices[0]
     for m in matrices[1:]:
         # broadcasting beats np.kron by a wide margin on these tiny matrices

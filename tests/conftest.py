@@ -1,9 +1,13 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ghzmeter
 from ghzmeter import OrthoFrame, QuantumState, kron, spin_observable, weyl_operator
 from ghzmeter.linalg import max_norm
 
@@ -59,6 +63,18 @@ WRONG_SHAPES = [
     pytest.param("pair", np.array([1.0, 0.0, 0.0]), id="pair-3"),
     pytest.param("density", np.eye(8).reshape(64) / 8, id="density-flat"),
 ]
+
+
+def run_python(*args, check=False):
+    """Run this interpreter on `args` with the package's source first on the path; text output."""
+    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=check,
+    )
 
 
 def random_direction(rng):

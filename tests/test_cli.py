@@ -1,9 +1,7 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from conftest import (
     random_direction,
     random_mixed_state,
     real_expectation,
+    run_python,
 )
 
 
@@ -156,19 +155,15 @@ def test_value_errors_exit_2(capsys, argv):
     "argv",
     [
         ["eval", "--state", "ghz", "--n1", "0,0,0", "--n2", "0,1,0"],
-        ["eval", "--state", "ghz", "--n1", "1e308,1e308,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "1e309,0,0", "--n2", "0,1,0"],
         ["eval", "--acin", "1e300,0,0,0,0", "--n1", "1,0,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "inf,0,0", "--n2", "0,1,0"],
+        ["eval", "--state", "ghz", "--n1", "nan,0,0", "--n2", "0,1,0"],
     ],
 )
 def test_rejected_number_writes_one_error_line(argv):
     # a subprocess, so numpy's once-per-location warnings reach stderr
-    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "ghzmeter.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
+    done = run_python("-m", "ghzmeter.cli", *argv)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
@@ -178,17 +173,11 @@ def test_huge_amplitude_writes_one_error_line(tmp_path):
     path = tmp_path / "huge.json"
     amplitudes = [[1e200, 0]] + [[0, 0]] * 7
     path.write_text(json.dumps({"local_dim": 2, "kind": "pure", "amplitudes": amplitudes}))
-    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
     for argv in (
         ["eval", "--state-file", str(path), "--n1", "1,0,0", "--n2", "0,1,0"],
         ["qudit", "--d", "2", "--state", str(path)],
     ):
-        done = subprocess.run(
-            [sys.executable, "-m", "ghzmeter.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-        )
+        done = run_python("-m", "ghzmeter.cli", *argv)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: --state") and done.stderr.count("\n") == 1
 
@@ -202,6 +191,30 @@ def test_tiny_direction_is_normalised(capsys):
         assert code == 0
         values.append(json.loads(out)[0]["I"])
     assert values[0] == values[1]
+
+
+@pytest.mark.parametrize(
+    "scaled, unit, tol",
+    [
+        ("1e200,0,0", "1,0,0", 0.0),
+        ("1e308,1e308,0", "1,1,0", 1e-15),
+        ("1e-320,1e-320,0", "1,1,0", 1e-15),
+    ],
+    ids=["1e200", "1e308-pair", "subnormal-pair"],
+)
+def test_direction_of_any_finite_length_is_normalised(capsys, scaled, unit, tol):
+    # |n|^2 overflows or underflows; math.hypot scales, so the length is nonzero and finite,
+    # and a subnormal length, rounded to a few bits, still gives a unit direction
+    rows = []
+    for n1 in (scaled, unit):
+        argv = ["eval", "--acin", "0.5,0.5,0.5,0.5,0,1", f"--n1={n1}", "--n2=0.3,0.4,1",
+                "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows.append(json.loads(out)[0])
+    assert list(rows[0]) == list(rows[1])
+    assert max(abs(rows[0][key] - rows[1][key]) for key in rows[0]) <= tol
+    assert rows[1]["abs_I"] > 1e-3  # a frame whose correlators do not all vanish
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -256,6 +269,25 @@ def test_scan_mu_csv(capsys):
     assert abs(float(rows[2]["closed_form"]) - 0.625) < 1e-12
 
 
+def test_scan_mu_states_are_exact(capsys, monkeypatch):
+    # every state is cos(b)|000> + sin(b)|111>: no weight left over lands on |100>
+    built, make_acin = [], ghzmeter.states.make_acin
+
+    def spy(params):
+        built.append(params)
+        return make_acin(params)
+
+    monkeypatch.setattr(ghzmeter.states, "make_acin", spy)
+    code, out, _ = run(capsys, ["scan-mu", "--steps", "51", "--format", "json"])
+    assert code == 0 and len(built) == len(json.loads(out)) == 51
+    for params in built:
+        assert (params.lambda1, params.lambda2, params.lambda3, params.phi) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_scan_mu_one_step_exits_2(capsys):
+    assert run(capsys, ["scan-mu", "--steps", "1"]) == (2, "", "error: --steps must be at least 2\n")
+
+
 def test_bench_states(capsys, tmp_path):
     out_path = tmp_path / "bench.csv"
     code = main(
@@ -278,6 +310,20 @@ def test_random_samples(capsys):
     doc = json.loads(out)[0]
     assert doc["max"] < 2.0
     assert doc["samples"] == 10
+
+
+def test_random_near_the_bound_warns_and_exits_1(capsys, monkeypatch):
+    # no affordable search comes within 1e-3 of 2 on a Haar sample, so a stub stands in
+    def near_bound(state, restarts, seed):
+        return SimpleNamespace(best_value=1.9995)
+
+    monkeypatch.setattr(ghzmeter.optimize, "maximize_I", near_bound)
+    code, out, err = run(
+        capsys, ["random", "--samples", "2", "--restarts", "1", "--seed", "0", "--format", "json"]
+    )
+    assert code == 1
+    assert json.loads(out)[0]["max"] == 1.9995
+    assert err.startswith("warning: ") and err.count("\n") == 1
 
 
 def test_random_determinism(tmp_path):
@@ -309,6 +355,21 @@ def test_qudit_scan(capsys):
     assert code == 0
     doc = json.loads(out)[0]
     assert abs(doc["max_abs_Id"] - 1.0) < 1e-9
+
+
+def test_qudit_mixed_state_gives_zero(capsys):
+    code, out, _ = run(capsys, ["qudit", "--d", "3", "--state", "mixed", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["abs_Id"] == 0.0
+
+
+def test_qudit_dimension_must_match_the_state_file(capsys, tmp_path):
+    from ghzmeter import make_w, save_state
+
+    path = tmp_path / "w.json"
+    save_state(make_w(), path)
+    line = "error: state has local_dim 2, expected 3\n"
+    assert run(capsys, ["qudit", "--d", "3", "--state", str(path)]) == (2, "", line)
 
 
 def test_qudit_invalid_generators(capsys):
@@ -525,13 +586,6 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_out():
-    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
     code = "import sys, ghzmeter, ghzmeter.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python("-c", code, check=True)
     assert done.stdout == "[]\n"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,14 @@ def test_expectations_rejects_qutrits(frame_xy):
         pauli_tensor(make_ghz(3))
     with pytest.raises(StateError):
         eval_I(make_ghz(3), frame_xy)
+
+
+def test_pauli_tensor_rejects_a_density_that_is_not_hermitian():
+    # QuantumState checks Hermiticity, so a state-like stand-in carries the density
+    density = np.eye(8) / 8 + 0.1 * np.eye(8, k=1)
+    state = SimpleNamespace(local_dim=2, density_matrix=lambda: density)
+    with pytest.raises(StateError, match="Pauli correlations have imaginary residue"):
+        pauli_tensor(state)
 
 
 def test_expectations_bounded(rng):

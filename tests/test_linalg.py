@@ -49,6 +49,18 @@ def test_kron_names_the_matrix_that_holds_no_numbers(bad):
         kron(IDENTITY_2, [[1, bad], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "matrices",
+    [([[np.nan, 0], [0, 1]], np.eye(2)), ([[np.inf]], [[0]])],
+    ids=["nan", "inf-times-zero"],
+)
+def test_kron_rejects_non_finite_entries(matrices):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 would warn before giving nan
+        with pytest.raises(ValueError, match="^kron takes one or more matrices, each a 2-D array"):
+            kron(*matrices)
+
+
 def test_spin_observable_axes():
     assert np.allclose(spin_observable([1, 0, 0]), SIGMA_X)
     assert np.allclose(spin_observable([0, 0, 1]), SIGMA_Z)

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -56,7 +53,7 @@ from ghzmeter.optimize import (
 )
 from ghzmeter.states import apply_local_unitaries, haar_random_pure, haar_random_unitary
 
-from conftest import random_mixed_state, random_orthogonal_frame
+from conftest import random_mixed_state, random_orthogonal_frame, run_python
 
 
 def test_rotation_from_vector_is_rotation(rng):
@@ -235,14 +232,7 @@ def test_import_builds_no_start_table():
         "ghzmeter.maximize_I(ghzmeter.make_w(), 1); "
         "print(*sizes())"
     )
-    src = os.path.dirname(os.path.dirname(ghzmeter.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python("-c", probe, check=True)
     assert done.stdout.split() == ["0", "0", "False", "1", "1"]
 
 
@@ -597,6 +587,13 @@ def test_convexity_probe_reads_the_validated_weights():
     ]
     assert reports[0] == reports[1] == reports[2]
     assert all(type(p) is float for p in reports[2].p_grid)
+
+
+def test_convexity_probe_default_grid_has_eleven_weights():
+    report = convexity_probe(make_ghz(2), maximally_mixed(2), restarts=1, seed=0)
+    assert report.p_grid == tuple(np.linspace(0.0, 1.0, 11).tolist())
+    assert report.p_grid[0] == 0.0 and report.p_grid[-1] == 1.0
+    assert len(report.mixture_values) == len(report.chord_values) == 11
 
 
 def test_lu_invariance_quick():

@@ -342,6 +342,13 @@ def test_load_rejects_wrong_amplitude_count(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_pure_file_without_amplitudes(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text('{"local_dim": 2, "kind": "pure"}')
+    with pytest.raises(StateError, match="pure state file must carry a 'amplitudes' array"):
+        load_state(path)
+
+
 def test_load_rejects_bad_trace(tmp_path):
     rho = np.eye(8) / 16  # trace 0.5
     st_path = tmp_path / "rho.json"
